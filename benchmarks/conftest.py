@@ -1,9 +1,9 @@
 """Shared builders for the experiment suite.
 
 Each ``bench_*.py`` module reproduces one paper artifact (table/figure/
-worked example); see DESIGN.md's experiment index.  Benchmarks both
-*time* the relevant operation (pytest-benchmark) and *assert the shape*
-the paper reports (who wins, by roughly what factor), printing the
+worked example); see the experiment index in docs/ARCHITECTURE.md.
+Benchmarks both *time* the relevant operation (pytest-benchmark) and
+*assert the shape* the paper reports (who wins, by roughly what factor), printing the
 rows/series for EXPERIMENTS.md.
 
 World construction is shared with the test suite and the differential

@@ -65,54 +65,10 @@ def open_plan(plan: P.PhysicalOp, ctx: ExecutionContext) -> Iterator[Row]:
 
 
 def _dispatch(plan: P.PhysicalOp, ctx: ExecutionContext) -> Iterator[Row]:
-    if isinstance(plan, P.TableScan):
-        return run_table_scan(plan, ctx)
-    if isinstance(plan, P.IndexRange):
-        return run_index_range(plan, ctx)
-    if isinstance(plan, P.RemoteScan):
-        return run_remote_scan(plan, ctx)
-    if isinstance(plan, P.RemoteRange):
-        return run_remote_range(plan, ctx)
-    if isinstance(plan, P.RemoteQuery):
-        return run_remote_query(plan, ctx, ())
-    if isinstance(plan, P.ProviderRowsetScan):
-        return run_provider_rowset(plan, ctx)
-    if isinstance(plan, P.ConstScan):
-        return run_const_scan(plan, ctx)
-    if isinstance(plan, P.FullTextKeyLookup):
-        return run_fulltext_lookup(plan, ctx)
-    if isinstance(plan, P.Filter):
-        return _run_filter(plan, ctx)
-    if isinstance(plan, P.StartupFilter):
-        return _run_startup_filter(plan, ctx)
-    if isinstance(plan, P.ComputeProject):
-        return _run_project(plan, ctx)
-    if isinstance(plan, P.PhysicalSort):
-        return _run_sort(plan, ctx)
-    if isinstance(plan, P.PhysicalTop):
-        return islice(open_plan(plan.child, ctx), plan.count)
-    if isinstance(plan, P.Spool):
-        return _run_spool(plan, ctx)
-    if isinstance(plan, P.HashJoin):
-        return run_hash_join(plan, ctx)
-    if isinstance(plan, P.NLJoin):
-        return run_nl_join(plan, ctx)
-    if isinstance(plan, P.MergeJoin):
-        return run_merge_join(plan, ctx)
-    if isinstance(plan, P.ParameterizedRemoteJoin):
-        return run_parameterized_remote_join(plan, ctx)
-    if isinstance(plan, P.HashAggregate):
-        return run_hash_aggregate(plan, ctx)
-    if isinstance(plan, P.StreamAggregate):
-        return run_stream_aggregate(plan, ctx)
-    # Gather/GatherMerge subclass Concat — dispatch them first
-    if isinstance(plan, P.Gather):
-        return run_gather(plan, ctx)
-    if isinstance(plan, P.GatherMerge):
-        return run_gather_merge(plan, ctx)
-    if isinstance(plan, P.Concat):
-        return _run_concat(plan, ctx)
-    raise ExecutionError(f"no executor for {type(plan).__name__}")
+    runner = _RUNNERS.get(type(plan))
+    if runner is None:
+        raise ExecutionError(f"no executor for {type(plan).__name__}")
+    return runner(plan, ctx)
 
 
 def execute_plan(
@@ -198,3 +154,34 @@ def _run_concat(plan: P.Concat, ctx: ExecutionContext) -> Iterator[Row]:
         ordinals = [child_layout[branch_map[cid]] for cid in output_ids]
         for row in open_plan(child, ctx):
             yield tuple(row[o] for o in ordinals)
+
+
+#: physical operator class -> runner(plan, ctx); looked up by exact
+#: type, so a subclass (Gather is a Concat) never runs as its parent
+_RUNNERS = {
+    P.TableScan: run_table_scan,
+    P.IndexRange: run_index_range,
+    P.RemoteScan: run_remote_scan,
+    P.RemoteRange: run_remote_range,
+    P.RemoteQuery: run_remote_query,
+    P.ProviderRowsetScan: run_provider_rowset,
+    P.ConstScan: run_const_scan,
+    P.FullTextKeyLookup: run_fulltext_lookup,
+    P.Filter: _run_filter,
+    P.StartupFilter: _run_startup_filter,
+    P.ComputeProject: _run_project,
+    P.PhysicalSort: _run_sort,
+    P.PhysicalTop: lambda plan, ctx: islice(
+        open_plan(plan.child, ctx), plan.count
+    ),
+    P.Spool: _run_spool,
+    P.HashJoin: run_hash_join,
+    P.NLJoin: run_nl_join,
+    P.MergeJoin: run_merge_join,
+    P.ParameterizedRemoteJoin: run_parameterized_remote_join,
+    P.HashAggregate: run_hash_aggregate,
+    P.StreamAggregate: run_stream_aggregate,
+    P.Gather: run_gather,
+    P.GatherMerge: run_gather_merge,
+    P.Concat: _run_concat,
+}

@@ -35,13 +35,21 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, NamedTuple, Optional
+
+from repro.core.physical import plan_fingerprint
+from repro.observability.querystore import normalize_query_text, query_hash
+from repro.resilience.health import CLOSED
 
 __all__ = [
+    "CompiledSelect",
     "PlanCacheEntry",
     "PlanCache",
     "plan_references",
+    "statement_key",
+    "lookup_compiled",
+    "store_compiled",
 ]
 
 
@@ -153,11 +161,7 @@ class PlanCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                self._count("plan_cache.misses")
-                return None
-            reason = self._staleness(
+            reason = None if entry is None else self._staleness(
                 entry,
                 schema_version=schema_version,
                 stats_generation=stats_generation,
@@ -166,9 +170,10 @@ class PlanCache:
             if reason is not None:
                 del self._entries[key]
                 self._note_invalidation(reason)
+                self._gauge_size()
+            if entry is None or reason is not None:
                 self.misses += 1
                 self._count("plan_cache.misses")
-                self._gauge_size()
                 return None
             self._entries.move_to_end(key)
             entry.hits += 1
@@ -207,64 +212,46 @@ class PlanCache:
             self._gauge_size()
 
     # -- invalidation hooks -------------------------------------------------
-    def invalidate_all(self, reason: str) -> int:
+    def _drop(self, stale: Callable[[PlanCacheEntry], Optional[str]]) -> int:
+        """Evict every entry ``stale`` gives a reason for; returns how
+        many went."""
         with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._note_invalidation(reason, dropped)
+            dropped = 0
+            for key, entry in list(self._entries.items()):
+                reason = stale(entry)
+                if reason is not None:
+                    del self._entries[key]
+                    self._note_invalidation(reason)
+                    dropped += 1
             self._gauge_size()
             return dropped
 
     def invalidate_stale(
         self, *, schema_version: int, stats_generation: int
     ) -> int:
-        """Purge entries compiled under an older schema/stats epoch."""
-        with self._lock:
-            dropped = 0
-            for key in list(self._entries):
-                entry = self._entries[key]
-                if entry.schema_version != schema_version:
-                    del self._entries[key]
-                    self._note_invalidation("ddl")
-                    dropped += 1
-                elif entry.stats_generation != stats_generation:
-                    del self._entries[key]
-                    self._note_invalidation("stats")
-                    dropped += 1
-            self._gauge_size()
-            return dropped
+        """Purge entries compiled under an older schema/stats epoch
+        (each entry is judged against its own health picture, so only
+        the epochs can make it stale here)."""
+        return self._drop(
+            lambda entry: self._staleness(
+                entry,
+                schema_version=schema_version,
+                stats_generation=stats_generation,
+                unhealthy_servers=entry.unhealthy_servers,
+            )
+        )
 
     def invalidate_tables(self, tables: Iterable[str], reason: str) -> int:
         wanted = {t.lower() for t in tables}
-        with self._lock:
-            dropped = 0
-            for key in list(self._entries):
-                if self._entries[key].tables & wanted:
-                    del self._entries[key]
-                    self._note_invalidation(reason)
-                    dropped += 1
-            self._gauge_size()
-            return dropped
+        return self._drop(lambda e: reason if e.tables & wanted else None)
 
     def invalidate_key(self, key: tuple, reason: str) -> bool:
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self._note_invalidation(reason)
-                self._gauge_size()
-                return True
-            return False
+        return bool(self._drop(lambda e: reason if e.key == key else None))
 
     def invalidate_query(self, query_hash: str, reason: str) -> int:
-        with self._lock:
-            dropped = 0
-            for key in list(self._entries):
-                if self._entries[key].query_hash == query_hash:
-                    del self._entries[key]
-                    self._note_invalidation(reason)
-                    dropped += 1
-            self._gauge_size()
-            return dropped
+        return self._drop(
+            lambda e: reason if e.query_hash == query_hash else None
+        )
 
     # -- introspection ------------------------------------------------------
     def entries(self) -> list[PlanCacheEntry]:
@@ -284,3 +271,123 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._gauge_size()
+
+
+# ----------------------------------------------------------------------
+# the engine's plan-or-hit stage
+# ----------------------------------------------------------------------
+
+class CompiledSelect(NamedTuple):
+    """A SELECT ready to run, from the cache or fresh from the optimizer."""
+
+    optimization: Any
+    output_names: list
+    output_cids: list
+    #: PV members pruned as unavailable (partial-results mode only)
+    skipped: list
+
+
+def _settings_fingerprint(engine: Any, session: Any) -> tuple:
+    """The plan-affecting settings, and only those, for the cache key.
+    The PARALLEL_DOP *value* is deliberately excluded: plan fingerprints
+    are DOP-free and exchanges read the session's degree at execution
+    time, so one compiled parallel plan serves DOP 2 and DOP 8 alike.
+    Only parallel *eligibility* (DOP > 1) is keyed, because a serial
+    compile contains no exchange at all.  Optimizer feature switches
+    (remote rules on/off, etc.) are included because flipping one
+    legitimately changes the plan."""
+    return (
+        bool(session.partial_results),
+        session.parallel_dop > 1,
+        session.collation.name,
+        tuple(
+            sorted(
+                (key, repr(value))
+                for key, value in vars(engine.optimizer.options).items()
+            )
+        ),
+    )
+
+
+def _unhealthy_servers(engine: Any) -> frozenset:
+    """Linked servers whose breaker is not closed right now (open or
+    half-open both carry cost penalties and routing changes)."""
+    return frozenset(
+        breaker.name
+        for breaker in engine.health.breakers()
+        if breaker.state != CLOSED
+    )
+
+
+def statement_key(engine: Any, ctx: Any) -> Optional[tuple]:
+    """The statement's plan-cache key, or None when it is uncacheable:
+    statements without text (a SELECT nested in DML), partial-results
+    mode (plans depend on this instant's breaker probe schedule), DMV
+    reads (rows are materialized at bind time, so a cached plan would
+    freeze the snapshot), and queries with a Query Store pin (a pin
+    always wins over the cache: pinned queries compile through the
+    pin-replay path every time)."""
+    sql_text = ctx.sql_text
+    if (
+        not engine.plan_cache_enabled
+        or sql_text is None
+        or ctx.session.partial_results
+        or "sys." in sql_text.lower()
+        or (
+            engine.query_store_enabled
+            and engine.query_store.forced_plan_for(sql_text) is not None
+        )
+    ):
+        return None
+    return (
+        normalize_query_text(sql_text),
+        _settings_fingerprint(engine, ctx.session),
+    )
+
+
+def lookup_compiled(
+    engine: Any, key: tuple, trace: Any
+) -> Optional[CompiledSelect]:
+    entry = engine.plan_cache.lookup(
+        key,
+        schema_version=engine.catalog.schema_version,
+        stats_generation=engine._stats_generation,
+        unhealthy_servers=_unhealthy_servers(engine),
+    )
+    if entry is None:
+        return None
+    engine.metrics.increment("optimizer.explorations_skipped")
+    if trace is not None:
+        trace.event(
+            "plan_cache_hit",
+            query_hash=entry.query_hash,
+            fingerprint=entry.fingerprint,
+            hits=entry.hits,
+        )
+    return CompiledSelect(
+        entry.optimization, entry.output_names, entry.output_cids, []
+    )
+
+
+def store_compiled(
+    engine: Any, key: tuple, sql_text: str, compiled: CompiledSelect
+) -> None:
+    plan = compiled.optimization.plan
+    servers, tables = plan_references(plan)
+    engine.plan_cache.store(
+        PlanCacheEntry(
+            key=key,
+            query_hash=query_hash(sql_text),
+            sql_text=sql_text,
+            normalized_text=key[0],
+            optimization=compiled.optimization,
+            output_names=list(compiled.output_names),
+            output_cids=list(compiled.output_cids),
+            fingerprint=plan_fingerprint(plan),
+            schema_version=engine.catalog.schema_version,
+            stats_generation=engine._stats_generation,
+            unhealthy_servers=_unhealthy_servers(engine) & servers,
+            servers=servers,
+            tables=tables,
+        )
+    )

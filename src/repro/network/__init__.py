@@ -17,11 +17,6 @@ scheduler can compute how much per-branch network time overlapped; the
 channel itself never sleeps, blocks, or spawns threads.
 """
 
-from repro.network.channel import (
-    LOCAL_CHANNEL,
-    NetworkChannel,
-    NetworkStats,
-    local_channel,
-)
+from repro.network.channel import NetworkChannel, NetworkStats, local_channel
 
-__all__ = ["NetworkChannel", "NetworkStats", "LOCAL_CHANNEL", "local_channel"]
+__all__ = ["NetworkChannel", "NetworkStats", "local_channel"]

@@ -221,11 +221,6 @@ class NetworkChannel:
         return nbytes / (self.mb_per_second * 1024 * 1024) * 1000.0
 
     @property
-    def cost_per_byte_ms(self) -> float:
-        """Per-byte cost the optimizer uses (ms/byte)."""
-        return self.transfer_ms(1)
-
-    @property
     def slow_factor(self) -> float:
         """Slow-link multiplier from the attached injector (1.0 = none)."""
         injector = self.fault_injector
@@ -468,9 +463,3 @@ def local_channel() -> NetworkChannel:
     channel = NetworkChannel("local", latency_ms=0.0, mb_per_second=float("inf"))
     channel.is_local = True
     return channel
-
-
-#: Legacy shared local channel.  Kept only as a recognizable default for
-#: old call sites; new code should test ``channel.is_local`` and build
-#: instances via :func:`local_channel`.
-LOCAL_CHANNEL = local_channel()

@@ -44,11 +44,16 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterator, Optional
 
 #: sentinel: "no parent override given" (None is a meaningful parent)
 _UNSET = object()
+
+#: the span of an untraced statement: one shared, re-enterable no-op,
+#: so call sites write ``with span:`` once instead of forking on
+#: ``trace is not None``
+NO_SPAN = nullcontext()
 
 
 class TraceEvent:

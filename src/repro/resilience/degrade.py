@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.algebra.expressions import ColumnRef
 from repro.algebra.logical import EmptyTable, Get, LogicalOp, Project, UnionAll
+from repro.core.rules.normalization import normalize
 
 
 class SkippedPartition:
@@ -220,3 +221,56 @@ def prune_unavailable_branches(
     if pv_members:
         pruned = degrade_collapsed(pruned)
     return pruned, skipped
+
+
+def prune_unreachable_members(
+    engine: Any, root: LogicalOp, trace: Any, allow_probes: bool
+) -> Tuple[LogicalOp, List[SkippedPartition]]:
+    """Partial-results planning for one statement: drop the PV branches
+    whose member is unreachable (breaker open) or fenced by an in-doubt
+    distributed transaction, recording each as a skipped partition.
+
+    The initial plan admits at most ONE probe-due open breaker (so
+    half-open probes keep running and a recovered member is folded
+    back in), routing around every other open breaker.  The replan
+    pass (``allow_probes`` off) admits none — it must route around
+    everything open, or a second synchronized probe window would burn
+    the single replan and fail the statement.
+    """
+    # remember which remote tables are PV members while the unions are
+    # still intact, then normalize so static pruning drops branches the
+    # predicates contradict — a query routed entirely to live members
+    # must not be stamped partial, while one collapsed onto a dead
+    # member degrades to empty
+    members = pv_member_tables(root)
+    root = normalize(root, engine.optimizer.normalize_options())
+    health = engine.health
+    in_doubt = engine.dtc.in_doubt_branches()
+    probing: List[str] = []
+
+    def unavailable(server_name: str) -> bool:
+        if server_name.lower() in in_doubt:
+            return True
+        if not allow_probes:
+            return health.is_open(server_name)
+        if health.should_route_around(server_name):
+            return True
+        if health.is_open(server_name):  # probe-due
+            if probing and server_name not in probing:
+                return True  # one probe per statement
+            probing.append(server_name)
+        return False
+
+    root, skipped = prune_unavailable_branches(
+        root,
+        unavailable,
+        pv_members=members,
+        reason_for=lambda server_name: (
+            "in_doubt" if server_name.lower() in in_doubt else "circuit_open"
+        ),
+    )
+    if skipped and trace is not None:
+        trace.event(
+            "partial_results_prune", skipped=[s.as_dict() for s in skipped]
+        )
+    return root, skipped

@@ -18,11 +18,14 @@ state visible to every caller).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.errors import SqlError, UnknownSetOptionError
+from repro.observability.trace import NO_SPAN
 from repro.types.collation import DEFAULT_COLLATION
 
-__all__ = ["Session"]
+__all__ = ["Session", "StatementContext", "apply_set"]
 
 
 class Session:
@@ -86,3 +89,85 @@ class Session:
             f"Session({self.name!r}, dop={self.parallel_dop}, "
             f"partial={self.partial_results})"
         )
+
+
+@dataclass
+class StatementContext:
+    """What one statement carries from the driver (``engine.execute``)
+    through its handler: whose statement it is, what it may spend, and
+    where its telemetry goes."""
+
+    session: Session
+    #: None for a SELECT nested in DML, which makes it uncacheable
+    sql_text: Optional[str] = None
+    params: Optional[dict] = None
+    txn: Any = None
+    trace: Any = None
+    budget: Any = None
+    #: the workload group, once the governor has classified
+    group: Any = None
+
+    def span(self, name: str, **attrs: Any):
+        """A trace span, or the shared no-op when tracing is off."""
+        if self.trace is None:
+            return NO_SPAN
+        return self.trace.span(name, **attrs)
+
+
+# -- SET ------------------------------------------------------------------
+def _dop(engine: Any, value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SqlError("SET PARALLEL_DOP expects an integer >= 1")
+    return value
+
+
+def _mirror_dop(engine: Any, dop: int) -> None:
+    engine.optimizer.parallel_dop = dop
+    engine.metrics.set_gauge("engine.parallel_dop", float(dop))
+
+
+def _on_off(engine: Any, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise SqlError("SET PARTIAL_RESULTS expects ON or OFF")
+    return value
+
+
+def _mirror_partial_results(engine: Any, on: bool) -> None:
+    engine.metrics.set_gauge("engine.partial_results", 1.0 if on else 0.0)
+
+
+def _group_name(engine: Any, value: Any) -> str:
+    if not isinstance(value, str):
+        raise SqlError("SET WORKLOAD GROUP expects a quoted group name")
+    if value.lower() not in engine.governor.groups:
+        raise SqlError(
+            f"unknown workload group {value!r}; defined groups are: "
+            f"{', '.join(sorted(engine.governor.groups))}"
+        )
+    return value.lower()
+
+
+#: option, which is also the Session attribute it sets -> (display name,
+#: validate(engine, value) -> value, mirror(engine, value) or None)
+SET_OPTIONS = {
+    "parallel_dop": ("PARALLEL_DOP", _dop, _mirror_dop),
+    "partial_results": ("PARTIAL_RESULTS", _on_off, _mirror_partial_results),
+    "workload_group": ("WORKLOAD GROUP", _group_name, None),
+}
+
+
+def apply_set(engine: Any, session: Session, option: str, value: Any) -> None:
+    """Apply one ``SET`` atomically: the value is validated before the
+    session changes, and only the session changes (the default session
+    alone mirrors to the engine's optimizer and gauges) — so a failed
+    or racing SET can neither half-apply nor leak into another session."""
+    row = SET_OPTIONS.get(option)
+    if row is None:
+        raise UnknownSetOptionError(
+            option, supported=tuple(row[0] for row in SET_OPTIONS.values())
+        )
+    __, validate, mirror = row
+    value = validate(engine, value)
+    setattr(session, option, value)
+    if mirror is not None and session is engine._default_session:
+        mirror(engine, value)

@@ -13,7 +13,7 @@ protocol so the SQL front end stays independent of the engine module.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, Optional, Protocol, Sequence
 
 from repro.algebra.expressions import (
     AggregateCall,
@@ -70,6 +70,22 @@ class FullTextBinding:
         self.catalog_name = catalog_name
         self.key_column = key_column
         self.text_column = text_column
+
+    def reindex(
+        self, schema: Any, old_row: Optional[tuple], new_row: Optional[tuple]
+    ) -> None:
+        """Keep the catalog in step with one row change of the table
+        (``schema`` is the table's): drop ``old_row``'s entry, index
+        ``new_row``."""
+        catalog = self.service.catalog(self.catalog_name)
+        key_ordinal = schema.ordinal_of(self.key_column)
+        if old_row is not None:
+            catalog.remove_row(old_row[key_ordinal])
+        if new_row is not None:
+            catalog.index_row(
+                new_row[key_ordinal],
+                new_row[schema.ordinal_of(self.text_column)],
+            )
 
     def __repr__(self) -> str:
         return f"FullTextBinding({self.catalog_name}: {self.text_column})"
@@ -1109,3 +1125,31 @@ def _describe_command(command: Any):
             pass
     # fall back: execute once and look at the schema (results discarded)
     return command.execute().schema
+
+
+class TableBinder:
+    """Binds and compiles expressions over one table's own columns — a
+    DML statement's WHERE and SET, a CHECK body, or (over no columns)
+    a constant — with the registry, scope and row layout set up once."""
+
+    def __init__(
+        self,
+        context: BindContext,
+        schema: Sequence[Any] = (),
+        table_name: Optional[str] = None,
+    ):
+        self._binder = Binder(context)
+        self.defs = [
+            self._binder.registry.mint(c.name, c.type, c.nullable, table_name)
+            for c in schema
+        ]
+        self._scope = Scope()
+        self._scope.add(table_name or "__check__", self.defs)
+        self.layout = {d.cid: i for i, d in enumerate(self.defs)}
+
+    def bind(self, expr: ast.Expr) -> ScalarExpr:
+        return self._binder._bind_expr(expr, self._scope)
+
+    def compile(self, expr: ast.Expr) -> Callable:
+        """``expr`` as a ``(row, params) -> value`` closure."""
+        return self.bind(expr).compile(self.layout)

@@ -44,27 +44,6 @@ def estimate_comparison_selectivity(
     return max(0.0, min(1.0, rows / population))
 
 
-def estimate_domain_selectivity(
-    domain: IntervalSet,
-    stats: Optional[ColumnStatistics],
-    table_rows: float,
-) -> float:
-    """Selectivity of ``column IN domain`` for an interval-set domain."""
-    if domain.is_full():
-        return 1.0
-    if domain.is_empty():
-        return 0.0
-    if stats is None or stats.histogram is None or not stats.histogram.buckets:
-        point = domain.single_point()
-        if point is not None:
-            return DEFAULT_EQUALITY_SELECTIVITY
-        return DEFAULT_RANGE_SELECTIVITY
-    histogram = stats.histogram
-    rows = histogram.estimate_interval_set(domain)
-    population = max(1.0, histogram.total_rows - histogram.null_rows)
-    return max(0.0, min(1.0, rows / population))
-
-
 def estimate_join_selectivity(
     left_stats: Optional[ColumnStatistics],
     right_stats: Optional[ColumnStatistics],

@@ -262,3 +262,32 @@ class TestCollationSemantics:
             "SELECT name FROM fruit ORDER BY name DESC"
         ).rows
         assert rows[-1][0] is None
+
+
+class TestDispatchTable:
+    def test_unknown_operator_type_raises_execution_error(self):
+        from repro.errors import ExecutionError
+
+        class Mystery(P.PhysicalOp):
+            def output_ids(self):
+                return (1,)
+
+        with pytest.raises(ExecutionError, match="no executor for Mystery"):
+            open_plan(Mystery(), ExecutionContext())
+
+    def test_every_operator_has_exactly_its_own_runner(self):
+        """Lookup is by exact type: an exchange (a Concat subclass) can
+        never run as its serial parent, whatever order the table is
+        written in."""
+        from repro.execution import executor
+        from repro.execution.exchange import run_gather, run_gather_merge
+
+        operators = {
+            cls for cls in vars(P).values()
+            if isinstance(cls, type) and issubclass(cls, P.PhysicalOp)
+            and cls is not P.PhysicalOp
+        }
+        assert set(executor._RUNNERS) == operators
+        assert executor._RUNNERS[P.Gather] is run_gather
+        assert executor._RUNNERS[P.GatherMerge] is run_gather_merge
+        assert executor._RUNNERS[P.Concat] is executor._run_concat
