@@ -17,8 +17,8 @@ model).  The *only* difference is policy:
   request deadline, plus reduced (pct-capped) grants.
 
 Per-statement latency is simulated ms: admission wait + grant wait +
-the statement's own network charges (thread-local accumulators — the
-same accounting as E18).  Shed statements are excluded from latency
+the statement's own network charges (read off its result — the same
+accounting as E18).  Shed statements are excluded from latency
 and counted separately; they cost the client one bounded deadline, not
 a seat in an ever-deeper queue.
 
@@ -30,22 +30,9 @@ actually under pressure.  Set ``BENCH_SMOKE=1`` for the reduced CI
 run.
 """
 
-import json
-import os
-import threading
-import time
-from pathlib import Path
-
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SMOKE, Recorder, print_table, run_sessions
 from repro import Engine, NetworkChannel, ServerInstance
-from repro.errors import GovernorError
-from repro.network.channel import (
-    attach_worker_charges,
-    detach_worker_charges,
-)
-from repro.observability.metrics import Histogram
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 SESSION_SWEEP = (1, 2, 16) if SMOKE else (1, 2, 4, 8, 16)
 STATEMENTS_PER_SESSION = 8 if SMOKE else 16
 MEMBERS = 4
@@ -59,14 +46,9 @@ GOVERNED_SLOTS = 2
 GOVERNED_QUEUE = 4
 GOVERNED_TIMEOUT_MS = 250.0
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_governor.json"
-
-_RESULTS: dict = {}
-
-
-def _record(section: str, payload) -> None:
-    _RESULTS[section] = payload
-    _RESULTS["meta"] = {
+_record = Recorder(
+    "governor",
+    {
         "members": MEMBERS,
         "statements_per_session": STATEMENTS_PER_SESSION,
         "rows_local": ROWS_LOCAL,
@@ -76,12 +58,8 @@ def _record(section: str, payload) -> None:
         "governed_slots": GOVERNED_SLOTS,
         "governed_queue": GOVERNED_QUEUE,
         "governed_timeout_ms": GOVERNED_TIMEOUT_MS,
-        "smoke": SMOKE,
-    }
-    JSON_PATH.write_text(
-        json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    },
+)
 
 
 #: every shape needs workspace memory (hash joins, hash aggregates,
@@ -164,75 +142,27 @@ def _configure(engine: Engine, governed: bool, capacity_kb: float) -> None:
 
 
 def _run_point(engine: Engine, n_sessions: int, governed: bool) -> dict:
-    latency = Histogram("statement_sim_ms")
-    lock = threading.Lock()
-    busy = [0.0] * n_sessions
-    shed = [0] * n_sessions
-    completed = [0] * n_sessions
-    errors: list = []
-    barrier = threading.Barrier(n_sessions)
-
-    def make_worker(index: int):
-        def worker():
-            accumulator = [0.0]
-            session = engine.create_session(f"w{index}")
-            if governed:
-                session.execute("SET WORKLOAD GROUP 'governed'")
-            attach_worker_charges(accumulator)
-            barrier.wait()
-            try:
-                for n in range(STATEMENTS_PER_SESSION):
-                    sql = POOL[(index + n) % len(POOL)]
-                    before_ms = accumulator[0]
-                    try:
-                        result = session.execute(sql)
-                    except GovernorError:
-                        shed[index] += 1
-                        continue
-                    statement_ms = (
-                        result.admission_wait_ms
-                        + result.grant_wait_ms
-                        + (accumulator[0] - before_ms)
-                    )
-                    with lock:
-                        latency.observe(statement_ms)
-                    busy[index] += statement_ms
-                    completed[index] += 1
-            except Exception as error:  # noqa: BLE001
-                errors.append(repr(error))
-            finally:
-                detach_worker_charges()
-
-        return worker
-
-    threads = [
-        threading.Thread(target=make_worker(i)) for i in range(n_sessions)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    assert not errors, errors
-
-    total_completed = sum(completed)
-    makespan_ms = max(busy) if any(busy) else 1.0
+    run = run_sessions(
+        engine, n_sessions, STATEMENTS_PER_SESSION, POOL,
+        workload_group="governed" if governed else None,
+    )
+    total_completed = sum(run.completed)
+    makespan_ms = max(run.busy_ms) if any(run.busy_ms) else 1.0
     return {
         "sessions": n_sessions,
         "completed": total_completed,
-        "shed": sum(shed),
+        "shed": sum(run.shed),
         "shed_rate": round(
-            sum(shed) / (n_sessions * STATEMENTS_PER_SESSION), 4
+            sum(run.shed) / (n_sessions * STATEMENTS_PER_SESSION), 4
         ),
-        "p50_ms": round(latency.percentile(50.0), 3),
-        "p95_ms": round(latency.percentile(95.0), 3),
-        "p99_ms": round(latency.percentile(99.0), 3),
+        "p50_ms": round(run.latency.percentile(50.0), 3),
+        "p95_ms": round(run.latency.percentile(95.0), 3),
+        "p99_ms": round(run.latency.percentile(99.0), 3),
         "makespan_ms": round(makespan_ms, 3),
         "throughput_stmt_per_s": round(
             total_completed / makespan_ms * 1000.0, 1
         ),
-        "wall_ms": round(wall_ms, 1),
+        "wall_ms": round(run.wall_ms, 1),
     }
 
 

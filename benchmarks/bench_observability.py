@@ -21,15 +21,11 @@ all-disabled per-statement overhead exceeds the budget).  Results
 accumulate in ``BENCH_observability.json`` at the repo root.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SMOKE, Recorder, print_table
 from repro import Engine, NetworkChannel, ServerInstance
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 STATEMENTS = 30 if SMOKE else 120
 #: CI budget for the all-disabled path, per statement (generous: CI
 #: runners are slow and the statement itself does real work — the
@@ -37,18 +33,7 @@ STATEMENTS = 30 if SMOKE else 120
 #: path, not against the engine being an interpreter)
 DISABLED_BUDGET_MS = 50.0
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_observability.json"
-
-_RESULTS: dict = {}
-
-
-def _record(section: str, payload) -> None:
-    _RESULTS[section] = payload
-    _RESULTS["meta"] = {"statements": STATEMENTS, "smoke": SMOKE}
-    JSON_PATH.write_text(
-        json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+_record = Recorder("observability", {"statements": STATEMENTS})
 
 
 def build_observability_world(mb_per_second: float = 0.2):

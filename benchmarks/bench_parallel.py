@@ -16,36 +16,22 @@ Set ``BENCH_SMOKE=1`` for the reduced CI run.  Results accumulate in
 ``BENCH_parallel.json`` at the repo root.
 """
 
-import json
-import os
-from pathlib import Path
-
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SMOKE, Recorder, print_table
 from repro.workloads.tpcc import build_federation
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 MEMBERS = 4
 CUSTOMERS_PER_WAREHOUSE = 20 if SMOKE else 100
 LATENCY_MS = 2.0
 DOP_SWEEP = (1, 2, 4, 8)
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
-
-_RESULTS: dict = {}
-
-
-def _record(section: str, payload) -> None:
-    _RESULTS[section] = payload
-    _RESULTS["meta"] = {
+_record = Recorder(
+    "parallel",
+    {
         "members": MEMBERS,
         "customers_per_warehouse": CUSTOMERS_PER_WAREHOUSE,
         "latency_ms": LATENCY_MS,
-        "smoke": SMOKE,
-    }
-    JSON_PATH.write_text(
-        json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    },
+)
 
 
 def _build():

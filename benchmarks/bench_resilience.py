@@ -20,19 +20,15 @@ then measures answer availability with one member hard-down.  Set
 ``BENCH_resilience.json`` at the repo root.
 """
 
-import json
-import os
 import random
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SMOKE, Recorder, print_table
 from repro import Engine, FaultInjector, NetworkChannel, ServerInstance
 from repro.errors import NetworkError, TransactionInDoubtError
 from repro.resilience.faults import TwoPCFaultPlan
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 MEMBERS = 4
 QUERIES = 20 if SMOKE else 80
 FAULT_RATES = (0.0, 0.10, 0.50) if SMOKE else (0.0, 0.10, 0.25, 0.50)
@@ -44,23 +40,10 @@ BASE_YEAR = 1992
 CRASH_RATES = (0.0, 0.5, 1.0) if SMOKE else (0.0, 0.25, 0.5, 1.0)
 DML_STATEMENTS = 16 if SMOKE else 48
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_resilience.json"
-
-#: per-test results, flushed to ``BENCH_resilience.json`` as they land
-_RESULTS: dict = {}
-
-
-def _record(section: str, payload) -> None:
-    _RESULTS[section] = payload
-    _RESULTS["meta"] = {
-        "members": MEMBERS,
-        "queries_per_cell": QUERIES,
-        "smoke": SMOKE,
-    }
-    JSON_PATH.write_text(
-        json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+_record = Recorder(
+    "resilience",
+    {"members": MEMBERS, "queries_per_cell": QUERIES},
+)
 
 
 def build_resilience_federation(latency_ms: float = 1.0):

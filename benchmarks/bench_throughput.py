@@ -9,58 +9,40 @@ the one *serialized* stage (the Cascades memo is single-threaded under
 the engine's compile lock) — happens once per distinct statement shape
 and is a cache hit everywhere else.
 
-Accounting: each session's busy time is the simulated network time its
-own thread was charged (thread-local charge accumulators — charges are
-counters, not sleeps, so the sweep is reproducible).  The workload
-makespan is the busiest session plus the serialized compile penalty
-``misses × mean_compile_ms`` (compiles queue behind one lock).  A
-disabled-cache ablation pays that penalty for *every* statement, which
-is exactly the scaling collapse the cache exists to prevent.
+Accounting: each session's busy time is the simulated network time of
+its own statements, read off each statement's result (the statement
+ledger — charges are counters, not sleeps, so the sweep is
+reproducible).  The workload makespan is the busiest session plus the
+serialized compile penalty ``misses × mean_compile_ms`` (compiles queue
+behind one lock).  A disabled-cache ablation pays that penalty for
+*every* statement, which is exactly the scaling collapse the cache
+exists to prevent.
 
 Acceptance (gated here and recorded in ``BENCH_throughput.json``):
 8 sessions ≥ 2× the 1-session throughput, with a warm-cache hit rate
 ≥ 90%.  Set ``BENCH_SMOKE=1`` for the reduced CI run.
 """
 
-import json
-import os
-import threading
 import time
-from pathlib import Path
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SMOKE, Recorder, print_table, run_sessions
 from repro import Engine, NetworkChannel, ServerInstance
-from repro.network.channel import (
-    attach_worker_charges,
-    detach_worker_charges,
-)
-from repro.observability.metrics import Histogram
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 SESSION_SWEEP = (1, 2, 4, 8)
 STATEMENTS_PER_SESSION = 24 if SMOKE else 96
 ROWS_LOCAL = 60 if SMOKE else 240
 ROWS_REMOTE = 40 if SMOKE else 160
 LATENCY_MS = 1.0
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-
-_RESULTS: dict = {}
-
-
-def _record(section: str, payload) -> None:
-    _RESULTS[section] = payload
-    _RESULTS["meta"] = {
+_record = Recorder(
+    "throughput",
+    {
         "statements_per_session": STATEMENTS_PER_SESSION,
         "rows_local": ROWS_LOCAL,
         "rows_remote": ROWS_REMOTE,
         "latency_ms": LATENCY_MS,
-        "smoke": SMOKE,
-    }
-    JSON_PATH.write_text(
-        json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    },
+)
 
 
 def _build(plan_cache: bool = True) -> Engine:
@@ -122,41 +104,8 @@ def _run_point(n_sessions: int) -> dict:
     mean_compile_ms = _mean_compile_ms(engine)
     hits0, misses0 = engine.plan_cache.hits, engine.plan_cache.misses
 
-    busy = [0.0] * n_sessions
-    errors: list = []
-    barrier = threading.Barrier(n_sessions)
-    #: per-statement simulated latency distribution (p50/p95/p99)
-    latency = Histogram("statement_sim_ms")
-    latency_lock = threading.Lock()
-
-    def make_worker(index: int):
-        def worker():
-            accumulator = [0.0]
-            session = engine.create_session(f"s{index}")
-            attach_worker_charges(accumulator)
-            barrier.wait()
-            try:
-                for n in range(STATEMENTS_PER_SESSION):
-                    before_ms = accumulator[0]
-                    session.execute(POOL[(index + n) % len(POOL)])
-                    with latency_lock:
-                        latency.observe(accumulator[0] - before_ms)
-            except Exception as error:  # noqa: BLE001
-                errors.append(repr(error))
-            finally:
-                detach_worker_charges()
-                busy[index] = accumulator[0]
-
-        return worker
-
-    threads = [
-        threading.Thread(target=make_worker(i)) for i in range(n_sessions)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors, errors
+    run = run_sessions(engine, n_sessions, STATEMENTS_PER_SESSION, POOL)
+    busy, latency = run.busy_ms, run.latency
 
     hits = engine.plan_cache.hits - hits0
     misses = engine.plan_cache.misses - misses0
@@ -188,35 +137,9 @@ def _run_uncached_point(n_sessions: int) -> dict:
         engine.execute(sql)  # warm remote metadata only
     mean_compile_ms = _mean_compile_ms(engine)
 
-    busy = [0.0] * n_sessions
-    errors: list = []
-    barrier = threading.Barrier(n_sessions)
-
-    def make_worker(index: int):
-        def worker():
-            accumulator = [0.0]
-            session = engine.create_session(f"u{index}")
-            attach_worker_charges(accumulator)
-            barrier.wait()
-            try:
-                for n in range(STATEMENTS_PER_SESSION):
-                    session.execute(POOL[(index + n) % len(POOL)])
-            except Exception as error:  # noqa: BLE001
-                errors.append(repr(error))
-            finally:
-                detach_worker_charges()
-                busy[index] = accumulator[0]
-
-        return worker
-
-    threads = [
-        threading.Thread(target=make_worker(i)) for i in range(n_sessions)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors, errors
+    busy = run_sessions(
+        engine, n_sessions, STATEMENTS_PER_SESSION, POOL
+    ).busy_ms
 
     total = n_sessions * STATEMENTS_PER_SESSION
     compile_penalty_ms = total * mean_compile_ms  # one compile each

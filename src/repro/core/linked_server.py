@@ -25,6 +25,7 @@ from repro.errors import (
     SchemaValidationError,
     ServerUnavailableError,
 )
+from repro.network.ledger import RemoteCommandSpan, current_ledger
 from repro.oledb.datasource import DataSource
 from repro.oledb.interfaces import IDB_SCHEMA_ROWSET
 from repro.oledb.properties import ProviderCapabilities
@@ -172,30 +173,14 @@ class LinkedServer:
         every statement and the breaker could never trip.
         """
         description = description or self.name
-        channel = self.channel
-        trace = channel.active_trace if channel is not None else None
-        if trace is None:
+        ledger = current_ledger()
+        if ledger is None or ledger.trace is None or self.channel is None:
             return self._run_with_retry_inner(fn, description)
         # one child span per remote command, nested under whichever
         # operator span is current when the dispatch happens — retries,
         # backoff waits and breaker fast-fails all land inside it
-        span = trace.begin_span(
-            "remote_command", server=self.name, operation=description
-        )
-        stats_before = channel.stats.snapshot()
-        started = trace.clock()
-        try:
+        with RemoteCommandSpan(ledger, self.channel, self.name, description):
             return self._run_with_retry_inner(fn, description)
-        finally:
-            span.duration_ms += trace.clock() - started
-            delta = channel.stats.delta(stats_before)
-            span.attrs["retries"] = int(delta["retries"])
-            span.attrs["backoff_ms"] = round(delta["backoff_ms"], 3)
-            span.attrs["breaker_fast_fails"] = int(
-                delta["breaker_fast_fails"]
-            )
-            span.attrs["round_trips"] = int(delta["round_trips"])
-            trace.exit_span(span)
 
     def _run_with_retry_inner(self, fn, description: str):
         breaker = self.breaker

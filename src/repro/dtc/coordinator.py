@@ -54,7 +54,7 @@ from repro.errors import (
     TransientNetworkError,
     ServerUnavailableError,
 )
-from repro.network.channel import current_statement_scope
+from repro.network.ledger import current_trace
 from repro.resilience.health import SimulatedClock
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.storage.transactions import ResourceManager
@@ -265,7 +265,7 @@ class TransactionCoordinator:
 
     @staticmethod
     def _trace_event(name: str, **attrs: Any) -> None:
-        trace, __ = current_statement_scope()
+        trace = current_trace()
         if trace is not None:
             trace.event(name, **attrs)
 

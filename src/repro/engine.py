@@ -26,6 +26,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, Optional
 
@@ -56,20 +57,15 @@ from repro.execution.plancache import (
 from repro.federation import dml
 from repro.fulltext.service import FullTextService
 from repro.governor import ResourceGovernor
-from repro.network.channel import (
-    NetworkChannel,
-    attach_statement_scope,
-    current_statement_scope,
-    restore_statement_scope,
-)
+from repro.network.channel import NetworkChannel
+from repro.network.ledger import StatementLedger, bind_ledger, current_ledger
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profile import PlanProfiler
 from repro.observability.querystore import QueryStore
 from repro.observability.statement import (
     QueryResult,
-    network_delta,
-    network_snapshot,
     record_statement,
+    statement_network,
 )
 from repro.observability.trace import QueryTrace
 from repro.observability.views import QueryStatsEntry, system_view
@@ -472,37 +468,45 @@ class ServerInstance:
         selects whose settings the statement runs under; without one
         the engine's default session is used (the single-user API).
 
-        This is the one place a statement is admitted, scoped, timed
-        and released.  Admission comes before any work, parse included:
-        an overloaded pool sheds with AdmissionTimeoutError having spent
-        nothing but queue time.  Linked-server traffic is attributed by
-        snapshot/diff of the channel counters, so the result carries
-        exact ``network`` totals; with ``tracing_enabled`` it also
-        carries a structured QueryTrace.
+        This is the one place a statement is admitted, bound, timed and
+        released.  Admission comes before any work, parse included: an
+        overloaded pool sheds with AdmissionTimeoutError having spent
+        nothing but queue time.  The statement's ledger is bound to the
+        calling thread while it runs (:mod:`repro.network.ledger`), so
+        every channel charge lands on it and the result carries exact
+        ``network`` totals whatever other sessions do meanwhile; with
+        ``tracing_enabled`` it also carries a structured QueryTrace.  A
+        nested execute() — a member running shipped SQL on this thread
+        — charges a child ledger: it inherits the outer trace and
+        budget unless it brings its own, and is folded into the outer
+        statement when it ends.
         """
         session = session or self._default_session
+        trace = QueryTrace(sql_text) if self.tracing_enabled else None
+        budget = (
+            QueryBudget(self.query_timeout_ms)
+            if self.query_timeout_ms is not None
+            else None
+        )
         ctx = StatementContext(
             session,
             sql_text,
             params,
             txn if txn is not None else session.txn,
-            QueryTrace(sql_text) if self.tracing_enabled else None,
-            QueryBudget(self.query_timeout_ms)
-            if self.query_timeout_ms is not None
-            else None,
+            trace,
+            StatementLedger(trace, budget, parent=current_ledger()),
         )
-        if ctx.trace is not None:
-            ctx.trace.session_id = session.session_id
+        if trace is not None:
+            trace.session_id = session.session_id
         with self._in_flight():
             ctx.group = self.governor.classify(session)
-            ticket = self.governor.admit(ctx.group, trace=ctx.trace)
+            ticket = self.governor.admit(ctx.group, trace=trace)
             try:
                 started = time.perf_counter()
-                before = network_snapshot(self)
                 # advance the health clock: open breakers measure their
                 # re-probe interval in statements, not wall time
                 self.health.tick()
-                with self._statement_scope(ctx.trace, ctx.budget):
+                with bind_ledger(ctx.ledger):
                     with ctx.span("parse"):
                         stmt = parse_sql(sql_text)
                     handler = _HANDLERS.get(type(stmt))
@@ -513,40 +517,16 @@ class ServerInstance:
                     result = handler(self, stmt, ctx)
             finally:
                 self.governor.complete(ctx.group, ticket)
+                ctx.ledger.close()
         result.workload_group = ctx.group.name
         result.admission_wait_ms = ticket.wait_ms
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        result.network = network_delta(self, before)
-        result.trace = ctx.trace
+        result.network = statement_network(self, ctx.ledger)
+        result.trace = trace
         result.session_id = session.session_id
         session.statement_count += 1
         record_statement(self, stmt, sql_text, result)
         return result
-
-    @contextmanager
-    def _statement_scope(
-        self, trace: Optional[QueryTrace], budget: Optional[QueryBudget]
-    ) -> Iterator[None]:
-        """Bind a statement's trace and timeout budget to the *calling
-        thread* for the block.  Channels resolve their attribution
-        thread-locally (:func:`repro.network.channel.attach_statement_scope`),
-        so concurrent sessions streaming through the same shared
-        channels never charge each other's trace or budget.  A nested
-        execute() that brings nothing new keeps the outer scope; one
-        that brings only a trace (or only a budget) inherits the other
-        half from the outer statement."""
-        if trace is None and budget is None:
-            yield
-            return
-        prior_trace, prior_budget = current_statement_scope()
-        restore = attach_statement_scope(
-            trace if trace is not None else prior_trace,
-            budget if budget is not None else prior_budget,
-        )
-        try:
-            yield
-        finally:
-            restore_statement_scope(restore)
 
     @contextmanager
     def _compiling(self, session: Session) -> Iterator[None]:
@@ -678,7 +658,9 @@ class ServerInstance:
             with ctx.span("bind"):
                 bound = Binder(self).bind_select(stmt)
             root, skipped = bound.root, []
-            if ctx.session.partial_results:
+            # a textless SELECT is the source of an INSERT..SELECT, and
+            # DML is fail-stop (docs/FAULT_MODEL.md): it never degrades
+            if ctx.session.partial_results and ctx.sql_text is not None:
                 root, skipped = prune_unreachable_members(
                     self, root, ctx.trace, allow_probes
                 )
@@ -701,9 +683,6 @@ class ServerInstance:
     def _execute_select(
         self, stmt: ast.SelectStmt, ctx: StatementContext
     ) -> QueryResult:
-        # a SELECT nested in DML arrives unclassified; classification
-        # is cheap and stable
-        group = ctx.group or self.governor.classify(ctx.session)
         entry_key = statement_key(self, ctx)
         compiled = cache_status = None
         if entry_key is not None:
@@ -724,7 +703,7 @@ class ServerInstance:
         if self.dtc.has_in_doubt():
             servers, tables = plan_references(compiled.optimization.plan)
             self.dtc.check_accessible(servers=servers, tables=tables)
-        result = self._run_select(stmt, ctx, group, compiled, entry_key)
+        result = self._run_select(stmt, ctx, compiled, entry_key)
         result.plan_cache_status = cache_status
         result.plan_cache_key = entry_key
         return result
@@ -733,13 +712,12 @@ class ServerInstance:
         self,
         stmt: ast.SelectStmt,
         ctx: StatementContext,
-        group: Any,
         compiled: CompiledSelect,
         entry_key: Optional[tuple],
     ) -> QueryResult:
         """Lease the plan's memory grant and execute it; if a member
         dies mid-query, re-plan around it and do both once more."""
-        session, trace = ctx.session, ctx.trace
+        session, group, trace = ctx.session, ctx.group, ctx.trace
         profiler = PlanProfiler() if self.profiling_enabled else None
         replans, grant_wait_ms, spool_cache = 0, 0.0, None
         while True:
@@ -813,13 +791,12 @@ class ServerInstance:
         return result
 
     def nested_select(
-        self, select: ast.SelectStmt, params: Optional[Dict[str, Any]]
+        self, select: ast.SelectStmt, ctx: StatementContext
     ) -> QueryResult:
-        """The source rows of an INSERT..SELECT: an untraced, textless
-        (hence uncached) SELECT on the default session."""
-        return self._execute_select(
-            select, StatementContext(self._default_session, params=params)
-        )
+        """The source rows of an INSERT..SELECT, run as part of the
+        issuing statement — its session, workload group, trace and
+        ledger — but textless, hence uncached."""
+        return self._execute_select(select, replace(ctx, sql_text=None))
 
     def _run_subquery(self, root: LogicalOp) -> list[tuple]:
         with self._compile_lock:

@@ -7,6 +7,11 @@ from typing import Any, Iterator, Sequence
 from repro.core import physical as P
 from repro.errors import ExecutionError
 from repro.execution.context import ExecutionContext
+from repro.network.ledger import (
+    RemoteCommandSpan,
+    current_ledger,
+    current_trace,
+)
 
 Row = tuple
 
@@ -22,44 +27,19 @@ def _span_wrapped_rows(
     stream stays fully lazy.  The rowset itself is also opened inside
     the span (the command dispatch is part of the remote operation).
     """
-    trace = channel.active_trace
-    span = None
-    stats_before = None
+    span = RemoteCommandSpan(
+        current_ledger(), channel, server_name, description
+    )
     rows: Iterator[Row] | None = None
     while True:
-        if span is None:
-            span = trace.begin_span(
-                "remote_command", server=server_name, operation=description
-            )
-            stats_before = channel.stats.snapshot()
-        else:
-            trace.enter_span(span)
-        started = trace.clock()
-        try:
+        with span:
             if rows is None:
                 rows = iter(open_fn())
-            row = next(rows)
-        except StopIteration:
-            span.duration_ms += trace.clock() - started
-            _finish_remote_span(span, channel, stats_before)
-            trace.exit_span(span)
-            return
-        except BaseException:
-            span.duration_ms += trace.clock() - started
-            _finish_remote_span(span, channel, stats_before)
-            trace.exit_span(span)
-            raise
-        span.duration_ms += trace.clock() - started
-        trace.exit_span(span)
+            try:
+                row = next(rows)
+            except StopIteration:
+                return
         yield row
-
-
-def _finish_remote_span(span: Any, channel: Any, stats_before: dict) -> None:
-    delta = channel.stats.delta(stats_before)
-    span.attrs["retries"] = int(delta["retries"])
-    span.attrs["backoff_ms"] = round(delta["backoff_ms"], 3)
-    span.attrs["breaker_fast_fails"] = int(delta["breaker_fast_fails"])
-    span.attrs["round_trips"] = int(delta["round_trips"])
 
 
 def _resilient_rows(server: Any, open_fn, description: str) -> Iterator[Row]:
@@ -75,14 +55,14 @@ def _resilient_rows(server: Any, open_fn, description: str) -> Iterator[Row]:
     """
     channel = getattr(server, "channel", None)
     if channel is None or channel.fault_injector is None:
-        if channel is not None and channel.active_trace is not None:
+        if channel is not None and current_trace() is not None:
             return _span_wrapped_rows(
                 channel, server.name, open_fn, description
             )
         return iter(open_fn())
     return iter(
         server.run_with_retry(
-            lambda: open_fn().fetch_all(), description=description
+            lambda: list(open_fn()), description=description
         )
     )
 
@@ -185,21 +165,9 @@ def run_remote_range(plan: P.RemoteRange, ctx: ExecutionContext) -> Iterator[Row
             )
             yield from fetched
 
-    channel = getattr(server, "channel", None)
-    if channel is not None and channel.fault_injector is not None:
-        rows: Iterator[Row] = iter(
-            server.run_with_retry(
-                lambda: list(generate()),
-                description=f"range:{plan.table.qualified_name}",
-            )
-        )
-    elif channel is not None and channel.active_trace is not None:
-        rows = _span_wrapped_rows(
-            channel, server.name, generate,
-            f"range:{plan.table.qualified_name}",
-        )
-    else:
-        rows = generate()
+    rows = _resilient_rows(
+        server, generate, f"range:{plan.table.qualified_name}"
+    )
     if plan.residual is not None:
         from repro.execution.executor import compile_expr, layout_of
 

@@ -6,12 +6,11 @@ subqueries, partitioned-view member scans) concurrently and pushes
 *pages* of already-mapped output rows through bounded queues to the
 consumer.  Because the simulated network charges latency as counters
 rather than wall-clock sleeps, overlap is accounted explicitly: every
-worker attaches a thread-local charge accumulator
-(:func:`repro.network.channel.attach_worker_charges`) so each branch's
-simulated milliseconds are measured exactly, and on completion the
-scheduler credits the consumer with ``saved_ms`` — the difference
-between the sum of branch times and the critical path of the slot
-assignment actually used.
+branch charges its own child of the statement's ledger
+(:mod:`repro.network.ledger`), so each branch's simulated milliseconds
+are measured exactly, and on completion the scheduler credits the
+consumer with ``saved_ms`` — the difference between the sum of branch
+times and the critical path of the slot assignment actually used.
 
 Concurrency contract
 --------------------
@@ -20,9 +19,10 @@ Concurrency contract
   and the locked spool cache.  Each plan branch is opened and iterated
   by exactly one worker thread.
 * The consumer (``pages()`` / ``_BranchStream``) must stay on the
-  thread that opened the exchange; it re-applies each finished
-  branch's network time to the consumer-side span stack so the
-  execute-span invariant (net_ms == statement simulated_ms) holds.
+  thread that opened the exchange; it folds each finished branch's
+  ledger into the statement's and re-applies the branch's network time
+  to the consumer-side span stack so the execute-span invariant
+  (net_ms == statement simulated_ms) holds.
 * Cancellation is cooperative: the shared :class:`threading.Event` is
   checked at page boundaries, and blocked puts poll it, so the first
   branch error (or an abandoning consumer) stops every worker without
@@ -36,13 +36,7 @@ import queue
 import threading
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from repro.network.channel import (
-    attach_statement_scope,
-    attach_worker_charges,
-    current_statement_scope,
-    detach_worker_charges,
-    restore_statement_scope,
-)
+from repro.network.ledger import StatementLedger, bind_ledger, current_ledger
 
 #: rows per page pushed through an exchange queue
 PAGE_ROWS = 64
@@ -120,10 +114,9 @@ class ExchangeScheduler:
         self.parent_span_id = (
             trace.current_span_id if trace is not None else None
         )
-        #: the spawning statement's (trace, budget) scope — statement
-        #: attribution is thread-local on channels, so each worker
-        #: thread must re-attach the consumer's scope before charging
-        self._statement_scope = current_statement_scope()
+        #: the spawning statement's ledger: every branch charges a
+        #: child of it, bound to the worker thread while the branch runs
+        self._ledger = current_ledger()
 
     # -- producer side ----------------------------------------------------
     def _worker(self, tasks: Sequence[BranchTask], out_queue: queue.Queue,
@@ -133,16 +126,18 @@ class ExchangeScheduler:
         is skipped because cancellation happened first."""
         for task in tasks:
             if self.cancel.is_set():
-                self._put(out_queue, ("done", task.index, 0.0), always=True)
+                self._put(
+                    out_queue,
+                    ("done", task.index, (StatementLedger(), None)),
+                    always=True,
+                )
                 continue
             self._produce_branch(task, out_queue, permits)
 
     def _produce_branch(self, task: BranchTask, out_queue: queue.Queue,
                         permits: Optional[threading.Semaphore]) -> None:
         trace = self.ctx.trace
-        charges = [0.0]
-        attach_worker_charges(charges)
-        prior_scope = attach_statement_scope(*self._statement_scope)
+        ledger = StatementLedger(parent=self._ledger)
         span = None
         if trace is not None:
             span = trace.begin_span(
@@ -155,34 +150,29 @@ class ExchangeScheduler:
             )
         failure = None
         try:
-            rows = task.open_rows()
-            while not self.cancel.is_set():
-                if permits is not None:
-                    permits.acquire()
-                try:
-                    page = list(itertools.islice(rows, PAGE_ROWS))
-                finally:
+            with bind_ledger(ledger):
+                rows = task.open_rows()
+                while not self.cancel.is_set():
                     if permits is not None:
-                        permits.release()
-                if not page:
-                    break
-                if not self._put(out_queue, ("page", task.index, page)):
-                    break
+                        permits.acquire()
+                    try:
+                        page = list(itertools.islice(rows, PAGE_ROWS))
+                    finally:
+                        if permits is not None:
+                            permits.release()
+                    if not page:
+                        break
+                    if not self._put(out_queue, ("page", task.index, page)):
+                        break
         except BaseException as error:  # relayed to the consumer thread
             failure = error
             self.cancel.set()
         finally:
-            detach_worker_charges()
-            restore_statement_scope(prior_scope)
             if span is not None:
                 trace.exit_span(span)
-        if failure is not None:
-            self._put(
-                out_queue, ("error", task.index, (failure, charges[0])),
-                always=True,
-            )
-        else:
-            self._put(out_queue, ("done", task.index, charges[0]), always=True)
+        self._put(
+            out_queue, ("done", task.index, (ledger, failure)), always=True
+        )
 
     def _put(self, out_queue: queue.Queue, item, always: bool = False) -> bool:
         """Blocking put that stays responsive to cancellation.
@@ -200,16 +190,20 @@ class ExchangeScheduler:
                     return False
 
     # -- consumer side ----------------------------------------------------
-    def _mirror_branch_ms(self, net_ms: float) -> None:
-        """Re-apply a finished branch's simulated network time to the
-        spans open on the *consumer* thread (the exchange operator
-        span, the execute span, ...).  Worker-side charges only
-        reached the worker's own span stack, so without this the
-        execute span would under-report by exactly the parallel
-        work."""
+    def _settle(self, ledger: StatementLedger) -> float:
+        """Take a finished branch's ledger on the *consumer* thread:
+        fold it into the statement's ledger and re-apply its simulated
+        network time to the spans open here (the exchange operator
+        span, the execute span, ...).  Worker-side charges only reached
+        the worker's own span stack, so without this the execute span
+        would under-report by exactly the parallel work.  Returns the
+        branch's simulated ms."""
+        ledger.close()
+        net_ms = ledger.simulated_ms
         trace = self.ctx.trace
         if trace is not None and net_ms:
             trace.add_network_ms(net_ms)
+        return net_ms
 
     def finish(self, branch_ms: Sequence[float]) -> None:
         """Record overlap accounting once every branch has reported:
@@ -242,12 +236,16 @@ class ExchangeScheduler:
         self._drain()
 
     def _drain(self) -> None:
+        """Discard undelivered pages; a completion marker's ledger is
+        still settled, so an abandoned exchange loses no traffic."""
         for q in self._queues:
             while True:
                 try:
-                    q.get_nowait()
+                    kind, __, payload = q.get_nowait()
                 except queue.Empty:
                     break
+                if kind == "done":
+                    self._settle(payload[0])
 
 
 class GatherScheduler(ExchangeScheduler):
@@ -292,16 +290,12 @@ class GatherScheduler(ExchangeScheduler):
                     yield payload
                 continue
             pending -= 1
-            if kind == "error":
-                error, net_ms = payload
-                branch_ms[index] = net_ms
-                self._mirror_branch_ms(net_ms)
+            ledger, error = payload
+            branch_ms[index] = self._settle(ledger)
+            if error is not None:
                 if first_error is None:
                     first_error = error
                 self.cancel.set()
-            else:
-                branch_ms[index] = payload
-                self._mirror_branch_ms(payload)
         self.finish(branch_ms)
         if first_error is not None:
             raise first_error
@@ -383,11 +377,7 @@ class BranchStream:
             if kind == "page":
                 self.page = payload
                 self.pos = 0
-            elif kind == "error":
-                self.error, self.net_ms = payload
-                self.done = True
-                self.scheduler._mirror_branch_ms(self.net_ms)
             else:
-                self.net_ms = payload
+                ledger, self.error = payload
+                self.net_ms = self.scheduler._settle(ledger)
                 self.done = True
-                self.scheduler._mirror_branch_ms(self.net_ms)

@@ -6,8 +6,9 @@ from typing import Any, Optional
 
 from repro.execution.context import ExecutionContext
 from repro.execution.executor import execute_plan
+from repro.network.ledger import StatementLedger, bind_ledger
 from repro.observability.profile import PlanProfiler, render_analyze
-from repro.observability.statement import QueryResult, network_delta, network_snapshot
+from repro.observability.statement import QueryResult, statement_network
 from repro.observability.trace import QueryTrace
 from repro.sql import ast
 from repro.sql.binder import Binder
@@ -33,10 +34,13 @@ def explain(engine: Any, stmt: ast.ExplainStmt, ctx: Any) -> QueryResult:
         profiler = PlanProfiler()
         # ANALYZE always runs under a trace so remote operators can be
         # annotated from their remote_command child spans; when
-        # engine-wide tracing is off the trace is private to this run
-        # and scoped to it
-        private = ctx.trace is None
-        run_trace = QueryTrace("explain analyze") if private else ctx.trace
+        # engine-wide tracing is off the trace is private to this run.
+        # The run charges a child ledger, so the traffic reported is
+        # the execution's alone, compile-time metadata excluded
+        run_trace = (
+            QueryTrace("explain analyze") if ctx.trace is None else ctx.trace
+        )
+        run = StatementLedger(run_trace, parent=ctx.ledger)
         exec_ctx = ExecutionContext(
             ctx.params,
             subquery_executor=engine._run_subquery,
@@ -44,13 +48,15 @@ def explain(engine: Any, stmt: ast.ExplainStmt, ctx: Any) -> QueryResult:
             metrics=engine.metrics,
             trace=run_trace,
         )
-        before = network_snapshot(engine)
-        with engine._statement_scope(run_trace if private else None, None):
-            execute_plan(optimization.plan, exec_ctx)
+        try:
+            with bind_ledger(run):
+                execute_plan(optimization.plan, exec_ctx)
+        finally:
+            run.close()
         lines = render_analyze(
             optimization.plan,
             profiler,
-            network_delta(engine, before),
+            statement_network(engine, run),
             trace=run_trace,
         )
         if stmt.verbose:

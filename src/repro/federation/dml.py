@@ -29,8 +29,6 @@ from repro.federation.partitioned_view import (
     PartitionMember,
     partition_members,
 )
-from repro.network.channel import current_statement_scope
-from repro.observability.trace import NO_SPAN
 from repro.sql import ast
 from repro.sql.binder import TableBinder
 from repro.storage.catalog import DEFAULT_SCHEMA, Database, ViewDefinition
@@ -277,13 +275,13 @@ def _locate(engine: Any, named: ast.NamedTable, txn: Any):
 
 # -- the statements (the engine's handler table points here) -----------
 
-def _source_rows(engine: Any, stmt: ast.InsertStmt, params: Params):
+def _source_rows(engine: Any, stmt: ast.InsertStmt, ctx: Any):
     """(rows to insert, the source SELECT's column names or None)."""
     if stmt.select is not None:
-        source = engine.nested_select(stmt.select, params)
+        source = engine.nested_select(stmt.select, ctx)
         return source.rows, source.columns
     constants = TableBinder(engine)
-    params = params or {}
+    params = ctx.params or {}
     return [
         tuple(constants.compile(expr)((), params) for expr in row)
         for row in stmt.rows
@@ -293,17 +291,15 @@ def _source_rows(engine: Any, stmt: ast.InsertStmt, params: Params):
 def insert(engine: Any, stmt: ast.InsertStmt, ctx: Any) -> int:
     view_at, target = _locate(engine, stmt.table, ctx.txn)
     if view_at is not None:
-        return insert_into_partitioned_view(
-            engine, *view_at, stmt, ctx.params
-        )
-    rows, __ = _source_rows(engine, stmt, ctx.params)
+        return insert_into_partitioned_view(engine, *view_at, stmt, ctx)
+    rows, __ = _source_rows(engine, stmt, ctx)
     return target.insert(stmt.columns, rows)
 
 
 def update(engine: Any, stmt: ast.UpdateStmt, ctx: Any) -> int:
     view_at, target = _locate(engine, stmt.table, ctx.txn)
     if view_at is not None:
-        return update_partitioned_view(engine, *view_at, stmt, ctx.params)
+        return update_partitioned_view(engine, *view_at, stmt, ctx)
     return _affected(
         [target.update(stmt.assignments, stmt.where, ctx.params)]
     )
@@ -312,9 +308,7 @@ def update(engine: Any, stmt: ast.UpdateStmt, ctx: Any) -> int:
 def delete(engine: Any, stmt: ast.DeleteStmt, ctx: Any) -> int:
     view_at, target = _locate(engine, stmt.table, ctx.txn)
     if view_at is not None:
-        return delete_from_partitioned_view(
-            engine, *view_at, stmt, ctx.params
-        )
+        return delete_from_partitioned_view(engine, *view_at, stmt, ctx)
     return _affected([target.delete(stmt.where, ctx.params)])
 
 
@@ -421,17 +415,18 @@ class _DmlSession:
 
 @contextmanager
 def _member_targets(
-    engine: Any, database: Database, members: list[PartitionMember]
+    engine: Any,
+    database: Database,
+    members: list[PartitionMember],
+    ctx: Any,
 ) -> Iterator[list]:
     """The members' write targets, in member order, under one
     distributed transaction: committed when the block ends, aborted on
     any error (an in-doubt transaction is left for recovery)."""
     session = _DmlSession(engine)
-    trace, __ = current_statement_scope()
-    span = NO_SPAN if trace is None else trace.span(
+    with ctx.span(
         "txn", txn_id=session.dtxn.txn_id, coordinator=engine.dtc.name
-    )
-    with span:
+    ):
         try:
             yield [session.target(database, member) for member in members]
             engine.dtc.commit(session.dtxn)
@@ -461,10 +456,10 @@ def insert_into_partitioned_view(
     schema_name: str,
     view: ViewDefinition,
     stmt: ast.InsertStmt,
-    params: Params,
+    ctx: Any,
 ) -> int:
     members = _members(engine, database, schema_name, view)
-    rows, source_columns = _source_rows(engine, stmt, params)
+    rows, source_columns = _source_rows(engine, stmt, ctx)
     # column layout comes from the first member: its table if local,
     # the remote schema otherwise
     first = members[0]
@@ -489,7 +484,7 @@ def insert_into_partitioned_view(
     partition_type = reference_schema[
         reference_schema.ordinal_of(partition_column)
     ].type
-    with _member_targets(engine, database, members) as targets:
+    with _member_targets(engine, database, members, ctx) as targets:
         for raw in rows:
             value = partition_type.validate(raw[partition_ordinal])
             for member, target in zip(members, targets):
@@ -509,7 +504,7 @@ def update_partitioned_view(
     schema_name: str,
     view: ViewDefinition,
     stmt: ast.UpdateStmt,
-    params: Params,
+    ctx: Any,
 ) -> int:
     """UPDATE fans out to every member (each applies its own WHERE);
     updates that would move a row across partitions are rejected, as in
@@ -524,9 +519,12 @@ def update_partitioned_view(
             "updating the partitioning column through a partitioned view "
             "is not supported; DELETE + INSERT instead"
         )
-    with _member_targets(engine, database, members) as targets:
+    with _member_targets(engine, database, members, ctx) as targets:
         return _affected(
-            [t.update(stmt.assignments, stmt.where, params) for t in targets]
+            [
+                t.update(stmt.assignments, stmt.where, ctx.params)
+                for t in targets
+            ]
         )
 
 
@@ -536,8 +534,10 @@ def delete_from_partitioned_view(
     schema_name: str,
     view: ViewDefinition,
     stmt: ast.DeleteStmt,
-    params: Params,
+    ctx: Any,
 ) -> int:
     members = _members(engine, database, schema_name, view)
-    with _member_targets(engine, database, members) as targets:
-        return _affected([t.delete(stmt.where, params) for t in targets])
+    with _member_targets(engine, database, members, ctx) as targets:
+        return _affected(
+            [t.delete(stmt.where, ctx.params) for t in targets]
+        )

@@ -25,148 +25,15 @@ from repro.errors import (
     ServerUnavailableError,
     TransientNetworkError,
 )
+from repro.network.ledger import NetworkStats, current_ledger, current_trace
 from repro.types.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.metrics import MetricsRegistry
-    from repro.observability.trace import QueryTrace
     from repro.resilience.faults import FaultInjector
-    from repro.resilience.retry import QueryBudget
 
 #: default per-row batch size for rowset streaming
 DEFAULT_BATCH_ROWS = 128
-
-#: per-thread charge accumulator for parallel workers (see
-#: :func:`attach_worker_charges`)
-_WORKER = threading.local()
-
-
-def attach_worker_charges(accumulator: list) -> None:
-    """Route every subsequent simulated-ms charge made on the calling
-    thread into ``accumulator[0]`` (in addition to normal accounting).
-
-    The exchange scheduler attaches a fresh one-element list per plan
-    branch so each branch's exact simulated time is known even when
-    several branches share a channel — the basis for the ``saved_ms``
-    latency-hiding credit.  Charges are counters, not sleeps, so this
-    is the only way to observe per-branch overlap."""
-    _WORKER.charges = accumulator
-
-
-def detach_worker_charges() -> None:
-    """Stop routing the calling thread's charges (see
-    :func:`attach_worker_charges`)."""
-    _WORKER.charges = None
-
-
-#: per-thread statement scope: the (trace, budget) pair of the statement
-#: currently running on this thread.  Channels are shared by every
-#: session of an engine, so statement attribution must be thread-local —
-#: a plain instance attribute would leak one session's trace/budget into
-#: a concurrent session's charges.
-_SCOPE = threading.local()
-
-
-def attach_statement_scope(
-    trace: Optional["QueryTrace"], budget: Optional["QueryBudget"]
-) -> tuple:
-    """Bind ``(trace, budget)`` to the calling thread for the duration
-    of one statement; returns the prior pair for
-    :func:`restore_statement_scope`."""
-    prior = current_statement_scope()
-    _SCOPE.trace = trace
-    _SCOPE.budget = budget
-    return prior
-
-
-def restore_statement_scope(prior: tuple) -> None:
-    """Undo :func:`attach_statement_scope` (pass its return value)."""
-    _SCOPE.trace, _SCOPE.budget = prior
-
-
-def current_statement_scope() -> tuple:
-    """The calling thread's ``(trace, budget)`` pair (``(None, None)``
-    when no statement is in flight)."""
-    return (
-        getattr(_SCOPE, "trace", None),
-        getattr(_SCOPE, "budget", None),
-    )
-
-
-class NetworkStats:
-    """Running totals for one channel (or an aggregate of channels).
-
-    Besides raw traffic, the stats carry resilience outcomes — retry
-    attempts, backoff time, breaker trips and breaker fast-fails — so a
-    per-statement snapshot/delta (``QueryResult.network``) attributes
-    them to the statement that paid for them, not just the aggregate
-    ``network.*`` counters.
-    """
-
-    __slots__ = (
-        "bytes_sent",
-        "bytes_received",
-        "round_trips",
-        "simulated_ms",
-        "retries",
-        "backoff_ms",
-        "breaker_trips",
-        "breaker_fast_fails",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.round_trips = 0
-        self.simulated_ms = 0.0
-        self.retries = 0
-        self.backoff_ms = 0.0
-        self.breaker_trips = 0
-        self.breaker_fast_fails = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_sent + self.bytes_received
-
-    def merge(self, other: "NetworkStats") -> None:
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.round_trips += other.round_trips
-        self.simulated_ms += other.simulated_ms
-        self.retries += other.retries
-        self.backoff_ms += other.backoff_ms
-        self.breaker_trips += other.breaker_trips
-        self.breaker_fast_fails += other.breaker_fast_fails
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "round_trips": self.round_trips,
-            "simulated_ms": self.simulated_ms,
-            "retries": self.retries,
-            "backoff_ms": self.backoff_ms,
-            "breaker_trips": self.breaker_trips,
-            "breaker_fast_fails": self.breaker_fast_fails,
-        }
-
-    def delta(self, before: dict[str, float]) -> dict[str, float]:
-        """Difference against an earlier :meth:`snapshot` — the traffic
-        attributable to whatever ran between the two points."""
-        current = self.snapshot()
-        return {
-            key: current[key] - before.get(key, 0)
-            for key in current
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"NetworkStats(sent={self.bytes_sent}B, recv={self.bytes_received}B, "
-            f"rt={self.round_trips}, {self.simulated_ms:.2f}ms)"
-        )
 
 
 class NetworkChannel:
@@ -202,13 +69,6 @@ class NetworkChannel:
         self.fault_injector: Optional["FaultInjector"] = None
         #: owning engine's registry; fault/retry counters land here
         self.metrics: Optional["MetricsRegistry"] = None
-        #: pinned statement trace — overrides the thread-local scope
-        #: when set directly (legacy single-session hook; the engine
-        #: now attaches per-statement scope thread-locally, see
-        #: :func:`attach_statement_scope`)
-        self.trace: Optional["QueryTrace"] = None
-        #: pinned timeout budget — same override semantics as ``trace``
-        self.budget: Optional["QueryBudget"] = None
         #: guards ``stats`` mutations — parallel workers may stream
         #: through the same channel concurrently
         self._lock = threading.RLock()
@@ -226,41 +86,51 @@ class NetworkChannel:
         injector = self.fault_injector
         return injector.slow_factor if injector is not None else 1.0
 
-    # -- statement attribution ------------------------------------------------
-    @property
-    def active_trace(self) -> Optional["QueryTrace"]:
-        """The trace charges should land on: a directly-pinned
-        ``channel.trace`` wins, else the calling thread's statement
-        scope."""
-        if self.trace is not None:
-            return self.trace
-        return getattr(_SCOPE, "trace", None)
-
-    @property
-    def active_budget(self) -> Optional["QueryBudget"]:
-        """The budget charges draw down (same resolution as
-        :attr:`active_trace`)."""
-        if self.budget is not None:
-            return self.budget
-        return getattr(_SCOPE, "budget", None)
-
     # -- charging ---------------------------------------------------------------
-    def _charge_ms(self, ms: float) -> None:
-        """Add simulated time to the running totals and, when a
-        statement budget is attached, draw it down (which may raise)."""
+    def _charge(
+        self,
+        ms: float = 0.0,
+        bytes_sent: int = 0,
+        bytes_received: int = 0,
+        round_trips: int = 0,
+    ) -> None:
+        """The one place traffic is charged.  It lands on the channel's
+        running totals (locked: parallel workers share the channel) and
+        on the calling thread's statement ledger (unlocked: a ledger is
+        written by one thread only); simulated time also reaches every
+        open span of the statement's trace, so each level of the span
+        tree carries its inclusive network time, and draws down the
+        statement's budget (which may raise)."""
+        stats = self.stats
         with self._lock:
-            self.stats.simulated_ms += ms
-        charges = getattr(_WORKER, "charges", None)
-        if charges is not None:
-            charges[0] += ms
-        trace = self.active_trace
-        if trace is not None:
-            # attribute the charge to every open span so each level of
-            # the span tree carries its inclusive network time
-            trace.add_network_ms(ms)
-        budget = self.active_budget
-        if budget is not None:
-            budget.charge(ms)
+            stats.simulated_ms += ms
+            stats.bytes_sent += bytes_sent
+            stats.bytes_received += bytes_received
+            stats.round_trips += round_trips
+        ledger = current_ledger()
+        if ledger is None:
+            return
+        row = ledger.on(self)
+        row.simulated_ms += ms
+        row.bytes_sent += bytes_sent
+        row.bytes_received += bytes_received
+        row.round_trips += round_trips
+        if ms:
+            if ledger.trace is not None:
+                ledger.trace.add_network_ms(ms)
+            if ledger.budget is not None:
+                ledger.budget.charge(ms)
+
+    def tally(self, outcome: str, amount: float = 1) -> None:
+        """Count one resilience outcome (``retries``, ``backoff_ms``,
+        ``breaker_trips``, ``breaker_fast_fails``) on the running totals
+        and on the calling thread's statement ledger."""
+        with self._lock:
+            setattr(self.stats, outcome, getattr(self.stats, outcome) + amount)
+        ledger = current_ledger()
+        if ledger is not None:
+            row = ledger.on(self)
+            setattr(row, outcome, getattr(row, outcome) + amount)
 
     # -- fault surface ----------------------------------------------------------
     def check_available(self) -> None:
@@ -298,14 +168,14 @@ class NetworkChannel:
             # the remote side hung: the consumer waits out the full
             # per-message timeout (or one latency, if none configured)
             waited = self.timeout_ms if self.timeout_ms is not None else self.latency_ms
-            self._charge_ms(waited)
+            self._charge(waited)
             self._count("network.timeouts")
             raise RemoteTimeoutError(
                 f"message on channel {self.name!r} timed out "
                 f"after {waited:g}ms"
             )
         # transient: the message is lost after one latency of waiting
-        self._charge_ms(self.latency_ms)
+        self._charge(self.latency_ms)
         raise TransientNetworkError(
             f"transient fault on channel {self.name!r}"
         )
@@ -314,7 +184,7 @@ class NetworkChannel:
         """Charge one message's simulated cost, enforcing the
         per-message timeout."""
         if self.timeout_ms is not None and cost_ms > self.timeout_ms:
-            self._charge_ms(self.timeout_ms)
+            self._charge(self.timeout_ms)
             self._count("network.timeouts")
             self._trace_event(
                 "message_timeout", cost_ms=round(cost_ms, 3),
@@ -324,7 +194,7 @@ class NetworkChannel:
                 f"message on channel {self.name!r} needed {cost_ms:.2f}ms "
                 f"but timeout_ms={self.timeout_ms:g}"
             )
-        self._charge_ms(cost_ms)
+        self._charge(cost_ms)
 
     # -- retry accounting (called by resilience.retry) --------------------------
     def charge_backoff(
@@ -332,10 +202,9 @@ class NetworkChannel:
         error: Exception,
     ) -> None:
         """Account one retry: simulated backoff time + counters."""
-        self._charge_ms(backoff_ms)
-        with self._lock:
-            self.stats.retries += 1
-            self.stats.backoff_ms += backoff_ms
+        self._charge(backoff_ms)
+        self.tally("retries")
+        self.tally("backoff_ms", backoff_ms)
         self._count("network.retries")
         self._count("network.backoff_ms", backoff_ms)
         self._trace_event(
@@ -357,7 +226,7 @@ class NetworkChannel:
             self.metrics.increment(name, amount)
 
     def _trace_event(self, name: str, **attrs: Any) -> None:
-        trace = self.active_trace
+        trace = current_trace()
         if trace is not None:
             trace.event(name, channel=self.name, **attrs)
 
@@ -365,18 +234,12 @@ class NetworkChannel:
     def send_command(self, text: str) -> None:
         """Charge an outgoing command (SQL text) and one round trip."""
         nbytes = len(text.encode("utf-8"))
-        if self.is_local:
-            with self._lock:
-                self.stats.bytes_sent += nbytes
-                self.stats.round_trips += 1
-            return
         self._consult_injector()
-        with self._lock:
-            self.stats.bytes_sent += nbytes
-            self.stats.round_trips += 1
-        self._charge_message(
-            self.latency_ms + self.transfer_ms(nbytes) * self.slow_factor
-        )
+        self._charge(bytes_sent=nbytes, round_trips=1)
+        if not self.is_local:
+            self._charge_message(
+                self.latency_ms + self.transfer_ms(nbytes) * self.slow_factor
+            )
 
     def stream_rows(
         self,
@@ -397,13 +260,9 @@ class NetworkChannel:
         for row in rows:
             if in_batch == 0:
                 self._consult_injector()
-                with self._lock:
-                    self.stats.round_trips += 1
                 batch_cost = self.latency_ms
-                self._charge_ms(self.latency_ms)
+                self._charge(self.latency_ms, round_trips=1)
             nbytes = self._row_bytes(row, schema)
-            with self._lock:
-                self.stats.bytes_received += nbytes
             row_cost = self.transfer_ms(nbytes) * self.slow_factor
             batch_cost += row_cost
             if (
@@ -411,6 +270,7 @@ class NetworkChannel:
                 and not self.is_local
                 and batch_cost > self.timeout_ms
             ):
+                self._charge(bytes_received=nbytes)
                 self._count("network.timeouts")
                 self._trace_event(
                     "message_timeout",
@@ -421,7 +281,7 @@ class NetworkChannel:
                     f"streamed batch on channel {self.name!r} exceeded "
                     f"timeout_ms={self.timeout_ms:g}"
                 )
-            self._charge_ms(row_cost)
+            self._charge(row_cost, bytes_received=nbytes)
             in_batch = (in_batch + 1) % batch_rows
             yield row
 

@@ -134,30 +134,19 @@ class QueryResult:
         return f"QueryResult({len(self.rows)} rows, columns={self.columns})"
 
 
-def network_snapshot(engine: Any) -> Network:
-    """Every linked server's cumulative channel counters, now."""
-    return {
-        key: server.channel.stats.snapshot()
-        for key, server in engine.linked_servers.items()
-        if server.channel is not None
-    }
-
-
-def network_delta(engine: Any, before: Network) -> Network:
-    """Per-server traffic since ``before``, omitting idle servers."""
+def statement_network(engine: Any, ledger: Any) -> Network:
+    """What a statement charged, per linked server: its ledger's rows
+    (:mod:`repro.network.ledger`) renamed from channel to server name,
+    omitting servers it left idle."""
+    touched = ledger.stats
     out: Network = {}
-    for key, server in engine.linked_servers.items():
-        channel = server.channel
-        if channel is None:
-            continue
-        base = before.get(key)
-        delta = (
-            channel.stats.delta(base)
-            if base is not None
-            else channel.stats.snapshot()
-        )
-        if any(delta.values()):
-            out[server.name] = delta
+    if touched:
+        for server in engine.linked_servers.values():
+            row = touched.get(server.channel)
+            if row is not None:
+                charged = row.snapshot()
+                if any(charged.values()):
+                    out[server.name] = charged
     return out
 
 

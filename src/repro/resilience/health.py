@@ -133,7 +133,7 @@ class CircuitBreaker:
                 return
             self.fast_fails += 1
             if channel is not None:
-                channel.stats.breaker_fast_fails += 1
+                channel.tally("breaker_fast_fails")
             self._emit(channel, "breaker_fast_fail", "health.fast_fails",
                        operation=description)
         error = CircuitOpenError(
@@ -205,7 +205,7 @@ class CircuitBreaker:
         self.opened_at_ms = self.clock.now_ms
         self.trip_count += 1
         if channel is not None:
-            channel.stats.breaker_trips += 1
+            channel.tally("breaker_trips")
         self._emit(
             channel, "breaker_open", "health.breaker_trips",
             reason=reason, failures=self.consecutive_failures,

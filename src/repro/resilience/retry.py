@@ -94,9 +94,12 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 class QueryBudget:
     """Per-statement simulated-time budget (the query timeout).
 
-    The engine attaches one budget to every linked-server channel for
-    the duration of a statement; each channel charge (latency, transfer,
-    retry backoff) draws it down.  Exhaustion raises
+    The budget rides the statement's ledger
+    (:mod:`repro.network.ledger`), which ``engine.execute`` binds to the
+    running thread: each channel charge (latency, transfer, retry
+    backoff) made while it is bound draws the budget down, live.  Child
+    ledgers (nested statements, exchange branches) share the parent's
+    budget object, so one statement has one draw-down.  Exhaustion raises
     :class:`~repro.errors.RemoteTimeoutError` with
     ``budget_exhausted=True``, which retry loops treat as final.
 

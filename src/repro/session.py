@@ -103,7 +103,11 @@ class StatementContext:
     params: Optional[dict] = None
     txn: Any = None
     trace: Any = None
-    budget: Any = None
+    #: the statement's :class:`~repro.network.ledger.StatementLedger`:
+    #: what it charged per channel, plus the trace and timeout budget
+    #: those charges reach (inherited from an enclosing statement when
+    #: this one brings none)
+    ledger: Any = None
     #: the workload group, once the governor has classified
     group: Any = None
 

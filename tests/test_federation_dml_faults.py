@@ -174,3 +174,19 @@ class TestTxnTraceSpans:
         assert len(txn_spans) == 1
         assert txn_spans[0].parent_id is not None
         assert "txn_id" in txn_spans[0].attrs
+
+
+class TestInsertSelectIsFailStop:
+    def test_partial_results_never_degrades_the_source_select(self, world):
+        # a PARTIAL_RESULTS session reads the view degraded, but the
+        # same view as the source of an INSERT..SELECT fails the
+        # statement: DML must not persist an incomplete answer
+        local, __, channels = world
+        local.execute("CREATE TABLE copy (k int, v int, tag varchar(10))")
+        session = local.create_session("degraded")
+        session.execute("SET PARTIAL_RESULTS ON")
+        channels["r2"].fault_injector.mark_down()
+        assert session.execute("SELECT k FROM pv").is_partial
+        with pytest.raises(ServerUnavailableError):
+            session.execute("INSERT INTO copy SELECT k, v, tag FROM pv")
+        assert local.execute("SELECT COUNT(*) FROM copy").scalar() == 0

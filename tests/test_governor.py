@@ -422,6 +422,44 @@ class TestMaxDopClamp:
         for member in federation.members:
             member.close()
 
+    def test_insert_select_source_runs_under_the_issuing_session(self):
+        # the source SELECT of an INSERT..SELECT is part of the issuing
+        # statement: its session's DOP, its group's ceiling, its trace
+        federation = build_federation(
+            member_count=4, warehouses_per_member=1,
+            customers_per_warehouse=10, latency_ms=2.0,
+        )
+        coordinator = federation.coordinator
+        coordinator.execute(
+            "CREATE TABLE copy (c_w_id int, c_id int, c_balance float)"
+        )
+        coordinator.governor.create_group("serial_only", max_dop=1)
+        coordinator.tracing_enabled = True
+        insert = (
+            "INSERT INTO copy SELECT c_w_id, c_id, c_balance FROM customer"
+        )
+
+        def branch_degrees(session):
+            result = session.execute(insert)
+            assert result.rowcount == 40
+            # the source's execute span is in the INSERT's own trace
+            assert len(result.trace.spans("execute")) == 1
+            return {
+                span.attrs["parallelism"]
+                for span in result.trace.spans("parallel_branch")
+            }
+
+        wide = coordinator.create_session("wide")
+        wide.execute("SET PARALLEL_DOP 4")
+        assert branch_degrees(wide) == {4}
+        governed = coordinator.create_session("governed")
+        governed.execute("SET PARALLEL_DOP 4")
+        governed.execute("SET WORKLOAD GROUP 'serial_only'")
+        assert branch_degrees(governed) == {1}
+        coordinator.close()
+        for member in federation.members:
+            member.close()
+
     def test_max_dop_one_forces_serial(self, engine):
         # a local engine exercise: the clamp rides ExecutionContext, so
         # result.dop can never exceed the group ceiling

@@ -13,6 +13,7 @@ from repro import (
     QueryTrace,
     ServerInstance,
 )
+from repro.network import StatementLedger, bind_ledger, current_ledger
 from repro.observability.views import system_view_names
 
 
@@ -504,15 +505,17 @@ class TestHierarchicalSpans:
         )
         server = local.linked_server("r0")
         trace = QueryTrace("manual")
-        server.channel.trace = trace
+        ledger = StatementLedger(trace)
         local.health.breaker("r0").force_open()
-        with pytest.raises(CircuitOpenError):
-            server.run_with_retry(lambda: None, description="probe")
-        server.channel.trace = None
+        with bind_ledger(ledger):
+            with pytest.raises(CircuitOpenError):
+                server.run_with_retry(lambda: None, description="probe")
+        assert current_ledger() is None
         spans = trace.remote_command_spans()
         assert len(spans) == 1
         assert spans[0].attrs["breaker_fast_fails"] == 1
         assert spans[0].attrs["round_trips"] == 0
+        assert ledger.on(server.channel).breaker_fast_fails == 1
 
     def test_point_events_carry_current_span_id(self, world):
         __, result = self._traced(world)

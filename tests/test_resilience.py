@@ -22,6 +22,7 @@ from repro.errors import (
     ServerUnavailableError,
     TransientNetworkError,
 )
+from repro.network import StatementLedger, bind_ledger, current_ledger
 from repro.network.channel import local_channel
 from repro.resilience import NO_RETRY
 from repro.resilience.faults import DOWN, TIMEOUT, TRANSIENT
@@ -351,9 +352,17 @@ class TestEngineResilience:
                 local.execute("SELECT * FROM r0.master.dbo.t")
         finally:
             local.query_timeout_ms = None
-        # the budget detaches with the statement
-        assert server.channel.budget is None
+        # the ledger (and its budget) unbinds with the statement
+        assert current_ledger() is None
         local.execute("SELECT * FROM r0.master.dbo.t")  # runs fine again
+        # the same draw-down through the public binding: a charge made
+        # while a ledger is bound reaches that ledger's budget
+        ledger = StatementLedger(budget=QueryBudget(0.5))
+        with bind_ledger(ledger):
+            with pytest.raises(RemoteTimeoutError, match="budget"):
+                server.channel.send_command("SELECT 1")
+        assert current_ledger() is None
+        assert ledger.on(server.channel).round_trips == 1
 
     def test_budget_object_accounting(self):
         budget = QueryBudget(10.0)

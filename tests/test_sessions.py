@@ -13,7 +13,10 @@ four properties a session layer must hold under concurrency:
 * **exactly-once breaker trips** — N sessions discovering the same
   dead server concurrently trip its circuit breaker once, not N times;
 * **trace attribution** — concurrent statements produce traces whose
-  spans and network attribution belong to their own session only.
+  spans and network attribution belong to their own session only;
+* **network attribution** — ``QueryResult.network`` and the
+  ``remote_command`` span counters are the statement's own, whatever
+  other sessions push through the same channels meanwhile.
 
 Thread interleavings are randomized by ``SESSIONS_SCHED_SEED`` (CI
 repeats the battery under several seeds); every failure message names
@@ -351,6 +354,136 @@ class TestTraceIsolation:
                 assert execute_span.net_ms == pytest.approx(
                     ref_net[sql], abs=1e-6
                 ), (sql, execute_span.net_ms, ref_net[sql])
+
+
+# ----------------------------------------------------------------------
+# network attribution: a statement reports its own traffic, exactly
+# ----------------------------------------------------------------------
+_COUNTS = ("round_trips", "bytes_sent", "bytes_received")
+
+
+def _counts(network: dict) -> dict:
+    return {
+        server: tuple(stats[key] for key in _COUNTS)
+        for server, stats in network.items()
+    }
+
+
+class TestNetworkAttribution:
+    """Channels are shared by every session, so ``QueryResult.network``
+    and the ``remote_command`` span counters must come from the
+    statement's own ledger, never from a diff of the shared totals."""
+
+    LOCAL_STATEMENTS = 1200
+    LOCAL = tuple(sql for sql in STATEMENTS if "master.dbo" not in sql)
+    REMOTE = tuple(
+        sql for sql in STATEMENTS if "master.dbo" in sql and " lt " not in sql
+    )
+
+    def test_local_statements_report_no_remote_traffic(self):
+        reference = build_engine()
+        serial = {}
+        for sql in self.REMOTE:
+            reference.execute(sql)  # warm metadata + plan cache
+            serial[sql] = _counts(reference.execute(sql).network)
+
+        engine = build_engine()
+        for sql in self.REMOTE + self.LOCAL:
+            engine.execute(sql)
+        rng = random.Random(SCHED_SEED)
+        local_session = engine.create_session("local-only")
+        remote_session = engine.create_session("remote")
+        local_done = threading.Event()
+        leaked: list = []
+        diverged: list = []
+
+        def local_worker():
+            try:
+                for i in range(self.LOCAL_STATEMENTS):
+                    sql = self.LOCAL[i % len(self.LOCAL)]
+                    network = local_session.execute(sql).network
+                    if network != {}:
+                        leaked.append((i, sql, network))
+            finally:
+                local_done.set()
+
+        def remote_worker():
+            ran = 0
+            while not local_done.is_set() or ran < 50:
+                sql = rng.choice(self.REMOTE)
+                counts = _counts(remote_session.execute(sql).network)
+                if counts != serial[sql]:
+                    diverged.append((sql, counts, serial[sql]))
+                ran += 1
+
+        _run_threads([local_worker, remote_worker])
+        assert not leaked, (
+            f"seed {SCHED_SEED}: {len(leaked)} of {self.LOCAL_STATEMENTS} "
+            f"local statements reported remote traffic, first {leaked[0]}"
+        )
+        assert not diverged, (SCHED_SEED, len(diverged), diverged[0])
+
+    def test_parallel_span_round_trips_add_up_to_the_statement(self):
+        # four PV members, two per server: at DOP 4 the branches of one
+        # statement share each server's channel with each other and
+        # with a concurrent session reading the same servers
+        local = Engine("local")
+        servers = {name: ServerInstance(name) for name in ("fed0", "fed1")}
+        for name, server in servers.items():
+            local.add_linked_server(
+                name, server, NetworkChannel(f"ch-{name}", latency_ms=0.5)
+            )
+        branches = []
+        for index in range(4):
+            name = f"fed{index % 2}"
+            member = servers[name]
+            low, high = index * 100, index * 100 + 99
+            member.execute(
+                f"CREATE TABLE part_{index} (k int NOT NULL CHECK "
+                f"(k >= {low} AND k <= {high}), v int)"
+            )
+            member.execute(
+                f"INSERT INTO part_{index} VALUES "
+                + ", ".join(f"({low + i}, {i})" for i in range(40))
+            )
+            branches.append(f"SELECT * FROM {name}.master.dbo.part_{index}")
+        local.execute("CREATE VIEW parts AS " + " UNION ALL ".join(branches))
+        local.tracing_enabled = True
+        reader = local.create_session("pv-reader")
+        reader.execute("SET PARALLEL_DOP 4")
+        sql = "SELECT k, v FROM parts"
+        assert reader.execute(sql).dop > 1  # warm, and really parallel
+        other = local.create_session("other")
+        other_sql = "SELECT COUNT(*) FROM fed0.master.dbo.part_0"
+        other.execute(other_sql)
+        reader_done = threading.Event()
+        mismatches: list = []
+
+        def reader_worker():
+            try:
+                for __ in range(40):
+                    result = reader.execute(sql)
+                    spans: dict = {}
+                    for span in result.trace.remote_command_spans():
+                        server = span.attrs["server"]
+                        spans[server] = (
+                            spans.get(server, 0) + span.attrs["round_trips"]
+                        )
+                    charged = {
+                        server: stats["round_trips"]
+                        for server, stats in result.network.items()
+                    }
+                    if spans != charged or len(result.rows) != 160:
+                        mismatches.append((spans, charged))
+            finally:
+                reader_done.set()
+
+        def other_worker():
+            while not reader_done.is_set():
+                other.execute(other_sql)
+
+        _run_threads([reader_worker, other_worker])
+        assert not mismatches, (SCHED_SEED, len(mismatches), mismatches[0])
 
 
 class TestCoordinatorThreadSafety:
