@@ -32,7 +32,7 @@ from repro.oledb.properties import ProviderCapabilities
 from repro.oledb.schema_rowsets import histogram_from_rowset
 from repro.oledb.session import Session
 from repro.resilience.retry import RetryPolicy, call_with_retry
-from repro.stats.table_stats import ColumnStatistics, TableStatistics
+from repro.stats.table_stats import ColumnStatistics
 from repro.storage.btree import IndexMetadata
 from repro.types.datatypes import (
     BIGINT,
@@ -186,11 +186,7 @@ class LinkedServer:
         breaker = self.breaker
         if breaker is not None:
             breaker.before_attempt(self.channel, description)
-        trips_before = (
-            self.channel.stats.round_trips
-            if self.channel is not None
-            else None
-        )
+        trips_before = self._round_trips_paid()
         try:
             result = call_with_retry(
                 self.retry_policy, self.channel, fn, description=description
@@ -208,11 +204,24 @@ class LinkedServer:
         if breaker is not None:
             trafficked = (
                 trips_before is None
-                or self.channel.stats.round_trips != trips_before
+                or self._round_trips_paid() != trips_before
             )
             if trafficked:
                 breaker.record_success(self.channel)
         return result
+
+    def _round_trips_paid(self) -> Optional[int]:
+        """Round trips *this caller* has paid on the channel so far: the
+        bound statement ledger's row, so another session's traffic on
+        the shared channel is never mistaken for ours; the channel's own
+        counter only when no ledger is bound.  None without a channel."""
+        channel = self.channel
+        if channel is None:
+            return None
+        ledger = current_ledger()
+        if ledger is not None:
+            return ledger.on(channel).round_trips
+        return channel.stats.round_trips
 
     def execute_command(self, sql_text: str, session: Optional[Session] = None):
         """Dispatch a SQL command to the remote server with retries.
@@ -425,12 +434,6 @@ class LinkedServer:
                 stats = None
         info._column_stats[key] = stats
         return stats
-
-    def table_statistics(
-        self, table_name: str, database: Optional[str] = None
-    ) -> TableStatistics:
-        info = self.table_info(table_name, database)
-        return TableStatistics(info.cardinality, {}, info.avg_row_width)
 
     # -- delayed schema validation (Section 4.1.5) ----------------------------
     def validate_schema_version(

@@ -719,7 +719,7 @@ class Optimizer:
                 )
                 if probe is not None and not has_domain:
                     # parameterized seek: estimate from key distincts
-                    key_stats = child_group.properties.column_stats.get(
+                    key_stats = child_group.properties.column_statistics(
                         key_cid
                     )
                     if probe[0] == "=" and key_stats is not None:
@@ -949,7 +949,7 @@ class Optimizer:
             decoded.tables,
         )
         right_rows = right_group.properties.cardinality
-        key_stats = right_group.properties.column_stats.get(equi[0][1].cid)
+        key_stats = right_group.properties.column_statistics(equi[0][1].cid)
         per_probe = (
             right_rows / max(1.0, key_stats.distinct_count)
             if key_stats is not None
@@ -968,7 +968,7 @@ class Optimizer:
         left_rows = left_group.properties.cardinality
         # the executor caches probe results per distinct parameter
         # vector, so duplicate outer keys cost one round trip
-        left_key_stats = left_group.properties.column_stats.get(
+        left_key_stats = left_group.properties.column_statistics(
             equi[0][0].cid
         )
         if left_key_stats is not None:

@@ -14,7 +14,8 @@ representative works).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Optional
 
 from repro.algebra.expressions import (
     BinaryOp,
@@ -56,6 +57,32 @@ from repro.types.intervals import IntervalSet
 LOCAL = "<local>"
 
 
+_UNRESOLVED = object()
+
+
+class ColumnStatsRef:
+    """A base-table column's statistics, fetched when first read.
+
+    Deriving properties only hands these around; building a histogram
+    (local) or opening a histogram rowset (linked server) waits until
+    an estimate actually reads the column, and happens at most once per
+    compile.  Resolving twice from two threads is harmless: both get a
+    complete object and the later assignment wins.
+    """
+
+    __slots__ = ("_fetch", "_stats")
+
+    def __init__(self, fetch: Callable[[], Optional[ColumnStatistics]]):
+        self._fetch = fetch
+        self._stats: Any = _UNRESOLVED
+
+    def resolve(self) -> Optional[ColumnStatistics]:
+        stats = self._stats
+        if stats is _UNRESOLVED:
+            stats = self._stats = self._fetch()
+        return stats
+
+
 class GroupProperties:
     """Logical properties shared by every alternative in a group."""
 
@@ -74,7 +101,7 @@ class GroupProperties:
         cardinality: float,
         row_width: float,
         servers: frozenset[str],
-        column_stats: Dict[ColumnId, Optional[ColumnStatistics]],
+        column_stats: Dict[ColumnId, Optional[ColumnStatsRef]],
         domains: Dict[ColumnId, IntervalSet],
     ):
         self.output_ids = output_ids
@@ -83,6 +110,12 @@ class GroupProperties:
         self.servers = servers
         self.column_stats = column_stats
         self.domains = domains
+
+    def column_statistics(self, cid: ColumnId) -> Optional[ColumnStatistics]:
+        """Statistics of one output column — the only way estimates
+        read them, and what makes the column's histogram exist."""
+        ref = self.column_stats.get(cid)
+        return None if ref is None else ref.resolve()
 
     @property
     def single_server(self) -> Optional[str]:
@@ -170,15 +203,17 @@ def derive_properties(
 
 def _get_properties(op: Get) -> GroupProperties:
     table = op.table
-    column_stats: Dict[ColumnId, Optional[ColumnStatistics]] = {}
+    column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = {}
     domains: Dict[ColumnId, IntervalSet] = {}
     name_to_cid = {d.name.lower(): d.cid for d in table.columns}
     if table.local_table is not None:
-        stats = table.local_table.statistics
-        cardinality = float(table.local_table.row_count)
-        row_width = stats.avg_row_width
+        local = table.local_table
+        cardinality = float(local.row_count)
+        row_width = local.statistics.avg_row_width
         for definition in table.columns:
-            column_stats[definition.cid] = stats.column(definition.name)
+            column_stats[definition.cid] = ColumnStatsRef(
+                partial(_local_column_statistics, local, definition.name)
+            )
     elif table.remote_info is not None:
         info = table.remote_info
         cardinality = info.cardinality
@@ -186,8 +221,13 @@ def _get_properties(op: Get) -> GroupProperties:
         server = table.provider
         for definition in table.columns:
             if server is not None and server.capabilities.supports_statistics:
-                column_stats[definition.cid] = server.column_statistics(
-                    info.table_name, definition.name, table.database
+                column_stats[definition.cid] = ColumnStatsRef(
+                    partial(
+                        server.column_statistics,
+                        info.table_name,
+                        definition.name,
+                        table.database,
+                    )
                 )
             else:
                 column_stats[definition.cid] = None
@@ -202,6 +242,12 @@ def _get_properties(op: Get) -> GroupProperties:
     return GroupProperties(
         op.output_ids(), cardinality, row_width, servers, column_stats, domains
     )
+
+
+def _local_column_statistics(table: Any, name: str) -> Optional[ColumnStatistics]:
+    # through table.statistics at read time, so a write between bind
+    # and estimate is seen
+    return table.statistics.column(name)
 
 
 def predicate_selectivity(
@@ -223,20 +269,20 @@ def _conjunct_selectivity(conjunct: ScalarExpr, props: GroupProperties) -> float
     if isinstance(conjunct, BinaryOp) and conjunct.op in COMPARISON_OPS:
         left, right = conjunct.left, conjunct.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            stats = props.column_stats.get(left.cid)
+            stats = props.column_statistics(left.cid)
             return estimate_comparison_selectivity(
                 conjunct.op, right.value, stats, props.cardinality
             )
         if isinstance(right, ColumnRef) and isinstance(left, Literal):
             flipped = conjunct.flipped()
-            stats = props.column_stats.get(right.cid)
+            stats = props.column_statistics(right.cid)
             return estimate_comparison_selectivity(
                 flipped.op, flipped.right.value, stats, props.cardinality
             )
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             return estimate_join_selectivity(
-                props.column_stats.get(left.cid),
-                props.column_stats.get(right.cid),
+                props.column_statistics(left.cid),
+                props.column_statistics(right.cid),
             )
         if conjunct.op == "=":
             return DEFAULT_EQUALITY_SELECTIVITY
@@ -247,7 +293,7 @@ def _conjunct_selectivity(conjunct: ScalarExpr, props: GroupProperties) -> float
         return min(1.0, left + right - left * right)
     if isinstance(conjunct, InListOp) and not conjunct.negated:
         if isinstance(conjunct.operand, ColumnRef):
-            stats = props.column_stats.get(conjunct.operand.cid)
+            stats = props.column_statistics(conjunct.operand.cid)
             total = 0.0
             for item in conjunct.items:
                 if isinstance(item, Literal):
@@ -280,7 +326,7 @@ def _select_properties(op: Select, child: GroupProperties) -> GroupProperties:
 
 
 def _project_properties(op: Project, child: GroupProperties) -> GroupProperties:
-    column_stats: Dict[ColumnId, Optional[ColumnStatistics]] = {}
+    column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = {}
     domains: Dict[ColumnId, IntervalSet] = {}
     width = 0.0
     for cid, expr in op.outputs:
@@ -370,7 +416,7 @@ def _aggregate_properties(op: Aggregate, child: GroupProperties) -> GroupPropert
         distinct_product = 1.0
         known = False
         for cid in op.group_by:
-            stats = child.column_stats.get(cid)
+            stats = child.column_statistics(cid)
             if stats is not None:
                 distinct_product *= max(1.0, stats.distinct_count)
                 known = True
@@ -398,7 +444,7 @@ def _union_properties(
     servers = frozenset().union(*(c.servers for c in children)) if children else frozenset({LOCAL})
     # a union output column's domain is the union of branch domains
     domains: Dict[ColumnId, IntervalSet] = {}
-    column_stats: Dict[ColumnId, Optional[ColumnStatistics]] = {}
+    column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = {}
     for out_cid in op.output_ids():
         branch_domains = []
         for branch_map, child in zip(op.branch_maps, children):

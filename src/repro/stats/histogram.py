@@ -10,9 +10,13 @@ range selectivities.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.types.intervals import Interval, IntervalSet, SortKey, _cmp
+from repro.types.intervals import Interval, IntervalSet, _cmp, native_sort_key
+
+_first = itemgetter(0)
 
 
 class HistogramBucket:
@@ -53,32 +57,39 @@ class Histogram:
     # -- construction ----------------------------------------------------
     @staticmethod
     def build(values: Iterable[Any], max_buckets: int = 32) -> "Histogram":
-        """Build an equi-depth histogram from raw column values."""
-        non_null = []
-        null_rows = 0
-        for v in values:
-            if v is None:
-                null_rows += 1
-            else:
-                non_null.append(v)
+        """Build an equi-depth histogram from raw column values.
+
+        One pass: split off NULLs, sort on the cheapest key that keeps
+        the SQL order (:func:`~repro.types.intervals.native_sort_key`),
+        group equal keys into runs.  The sort is stable, so a run is
+        represented by the value that came first in ``values``.
+        """
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        non_null = [v for v in values if v is not None]
+        null_rows = len(values) - len(non_null)
         if not non_null:
             return Histogram([], null_rows)
-        non_null.sort(key=SortKey)
-        # group into runs of equal values
-        runs: list[tuple[Any, int]] = []
-        for v in non_null:
-            if runs and _cmp(runs[-1][0], v) == 0:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((v, 1))
+        key = native_sort_key(non_null)
+        # runs of equal keys: (first value of the run, its length)
+        if key is None:
+            non_null.sort()
+            runs = [(v, sum(1 for _ in run)) for v, run in groupby(non_null)]
+        else:
+            keyed = sorted(zip(map(key, non_null), non_null), key=_first)
+            runs = [
+                (next(run)[1], 1 + sum(1 for _ in run))
+                for _, run in groupby(keyed, key=_first)
+            ]
         target_depth = max(1, len(non_null) // max(1, max_buckets))
         buckets: list[HistogramBucket] = []
         range_rows = 0
         distinct_range = 0
-        for value, count in runs:
+        last = len(runs) - 1
+        for index, (value, count) in enumerate(runs):
             # a run closes a bucket when accumulated depth is reached or
             # it is the last run
-            if range_rows + count >= target_depth or (value, count) == runs[-1]:
+            if range_rows + count >= target_depth or index == last:
                 buckets.append(
                     HistogramBucket(value, count, range_rows, distinct_range)
                 )

@@ -81,3 +81,5 @@ class Heap:
         for row in self._rows:
             if row is not None:
                 yield row
+
+    __iter__ = rows

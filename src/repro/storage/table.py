@@ -4,7 +4,7 @@ A table is the unit the OLE DB layer opens rowsets on.  Insert, update,
 and delete maintain every index transactionally (via the undo log of
 the enclosing :class:`~repro.storage.transactions.LocalTransaction`
 when one is active) and enforce constraints.  Statistics are built
-lazily and invalidated by writes.
+lazily — per column, on request — and invalidated by writes.
 """
 
 from __future__ import annotations
@@ -143,9 +143,11 @@ class Table:
     # -- statistics --------------------------------------------------------
     @property
     def statistics(self) -> TableStatistics:
-        """Statistics, rebuilt lazily after writes."""
+        """Row count and width, recounted lazily after writes; column
+        statistics are built from the heap one column at a time, when
+        :meth:`TableStatistics.column` is first asked for each."""
         if self._stats is None:
-            self._stats = TableStatistics.build(self.schema, self.heap.rows())
+            self._stats = TableStatistics.build(self.schema, self.heap)
         return self._stats
 
     def invalidate_statistics(self) -> None:

@@ -173,6 +173,31 @@ class SortKey:
         return hash(repr(self.value))
 
 
+def native_sort_key(values: Sequence[Any]):
+    """The cheapest ``key=`` that orders ``values`` (no NULLs) exactly as
+    :class:`SortKey` would, chosen from the kinds of value present.
+
+    ``None`` means the values order themselves: ``int``/``float`` and
+    ``date``/naive ``datetime`` columns compare natively just as
+    ``_cmp`` compares them.  Strings sort on the default collation's
+    comparison key.  Everything else — mixed kinds, ``bool`` (which
+    ``_cmp`` widens to ``int``), ``Decimal``, aware datetimes (which
+    ``_cmp`` cannot order) — keeps :class:`SortKey`.
+    """
+    import datetime as _dt
+
+    from repro.types.collation import DEFAULT_COLLATION
+
+    kinds = set(map(type, values))
+    if kinds <= {int, float} or kinds == {_dt.date}:
+        return None
+    if kinds == {str}:
+        return DEFAULT_COLLATION.normalize
+    if kinds == {_dt.datetime} and all(v.tzinfo is None for v in values):
+        return None
+    return SortKey
+
+
 def row_sort_key(row: Any) -> tuple[SortKey, ...]:
     """Key function ordering whole rows (tuples) under SQL semantics."""
     return tuple(SortKey(v) for v in row)

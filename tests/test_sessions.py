@@ -16,7 +16,8 @@ four properties a session layer must hold under concurrency:
   spans and network attribution belong to their own session only;
 * **network attribution** — ``QueryResult.network`` and the
   ``remote_command`` span counters are the statement's own, whatever
-  other sessions push through the same channels meanwhile.
+  other sessions push through the same channels meanwhile — and so is
+  the traffic that counts as circuit-breaker success evidence.
 
 Thread interleavings are randomized by ``SESSIONS_SCHED_SEED`` (CI
 repeats the battery under several seeds); every failure message names
@@ -484,6 +485,62 @@ class TestNetworkAttribution:
 
         _run_threads([reader_worker, other_worker])
         assert not mismatches, (SCHED_SEED, len(mismatches), mismatches[0])
+
+
+class TestBreakerEvidenceIsPerSession:
+    """``run_with_retry`` counts a call as breaker *success* evidence
+    only when the call itself produced traffic.  The channel is shared,
+    so "itself" has to mean the caller's own ledger row: a diff of the
+    channel totals lets any other session's round trips turn a free
+    metadata ping into proof of health, and a hung member's failure
+    streak would never reach the threshold."""
+
+    def test_free_ping_is_no_success_while_another_session_talks(self):
+        from repro.errors import NetworkError
+        from repro.network import StatementLedger, bind_ledger
+
+        engine = build_engine()
+        server = engine.linked_server("east")
+        breaker = engine.health.breaker("east")
+        for _ in range(breaker.failure_threshold - 1):
+            breaker.record_failure(NetworkError("hung"), server.channel)
+        streak = breaker.consecutive_failures
+        successes = []
+        record_success = breaker.record_success
+        breaker.record_success = lambda channel=None: (
+            successes.append(threading.current_thread().name),
+            record_success(channel),
+        )
+
+        pinging = threading.Event()
+        charged = threading.Event()
+
+        def other_session():
+            # thread B: real traffic on the shared channel, while A is
+            # inside its (free) remote operation
+            assert pinging.wait(timeout=30)
+            server.channel.send_command("SELECT 1")
+            charged.set()
+
+        def free_ping():
+            pinging.set()
+            assert charged.wait(timeout=30)
+            return "pong"
+
+        other = threading.Thread(target=other_session, name="session-b")
+        other.start()
+        try:
+            with bind_ledger(StatementLedger()) as ledger:
+                trips_before = server.channel.stats.round_trips
+                assert server.run_with_retry(free_ping) == "pong"
+                # B's round trip is on the channel, not on A's ledger
+                assert server.channel.stats.round_trips == trips_before + 1
+                assert ledger.on(server.channel).round_trips == 0
+        finally:
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert successes == []
+        assert breaker.consecutive_failures == streak
 
 
 class TestCoordinatorThreadSafety:

@@ -1,7 +1,9 @@
 """Tests for histograms and cardinality estimation (Section 3.2.4)."""
 
+import datetime as dt
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats import (
@@ -12,6 +14,7 @@ from repro.stats import (
     estimate_join_selectivity,
 )
 from repro.types import Column, INT, Interval, IntervalSet, Schema, varchar
+from repro.types.intervals import SortKey, _cmp
 
 
 class TestHistogramBuild:
@@ -138,3 +141,203 @@ class TestHistogramProperties:
         # point estimates are exact
         total = sum(h.estimate_equal(v) for v in set(values))
         assert total == pytest.approx(len(values))
+
+
+# ----------------------------------------------------------------------
+# equivalence: the one-pass native-key build against the algorithm it
+# replaced (every value ordered through SortKey/_cmp), kept here as the
+# reference
+# ----------------------------------------------------------------------
+def reference_histogram(values, max_buckets=32):
+    """(buckets, null_rows) exactly as ``Histogram.build`` computed them
+    when it sorted on ``SortKey`` and found runs with ``_cmp``."""
+    non_null = []
+    null_rows = 0
+    for v in values:
+        if v is None:
+            null_rows += 1
+        else:
+            non_null.append(v)
+    if not non_null:
+        return [], null_rows
+    non_null.sort(key=SortKey)
+    runs = []
+    for v in non_null:
+        if runs and _cmp(runs[-1][0], v) == 0:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((v, 1))
+    target_depth = max(1, len(non_null) // max(1, max_buckets))
+    buckets = []
+    range_rows = 0
+    distinct_range = 0
+    for value, count in runs:
+        if range_rows + count >= target_depth or (value, count) == runs[-1]:
+            buckets.append((value, count, range_rows, distinct_range))
+            range_rows = 0
+            distinct_range = 0
+        else:
+            range_rows += count
+            distinct_range += 1
+    return buckets, null_rows
+
+
+def histogram_tuples(h):
+    """A built histogram in ``reference_histogram``'s shape."""
+    return (
+        [
+            (b.upper_bound, b.equal_rows, b.range_rows, b.distinct_range)
+            for b in h.buckets
+        ],
+        h.null_rows,
+    )
+
+
+def built_histogram(values, max_buckets=32):
+    return histogram_tuples(Histogram.build(values, max_buckets))
+
+
+def same_histogram(built, expected) -> bool:
+    """Equal bucket for bucket, and the *same* representative: 1 vs 1.0
+    vs True, or 'a' vs 'A', compare equal but are different bounds."""
+    (b_buckets, b_nulls), (e_buckets, e_nulls) = built, expected
+    return (
+        b_nulls == e_nulls
+        and b_buckets == e_buckets
+        and [(type(b[0]), repr(b[0])) for b in b_buckets]
+        == [(type(e[0]), repr(e[0])) for e in e_buckets]
+    )
+
+
+_INTS = st.integers(-30, 30)
+_FLOATS = st.one_of(
+    st.floats(-30, 30, allow_nan=False),
+    st.integers(-30, 30).map(float),  # collide with the ints
+)
+_STRINGS = st.text(alphabet="aAbBcC 1", max_size=3)  # case variants abound
+_DATES = st.dates(dt.date(1992, 1, 1), dt.date(1992, 3, 1))
+_DATETIMES = st.datetimes(
+    dt.datetime(1992, 1, 1), dt.datetime(1992, 1, 3)
+).map(lambda v: v.replace(microsecond=0, second=0, minute=0))
+
+
+def _column(*kinds):
+    """Lists over the given kinds of value, NULLs mixed in."""
+    return st.lists(st.one_of(st.none(), *kinds), max_size=120)
+
+
+_COLUMNS = st.one_of(
+    _column(_INTS),
+    _column(_FLOATS),
+    _column(_INTS, _FLOATS),
+    _column(st.booleans()),
+    _column(st.booleans(), _INTS),
+    _column(_STRINGS),
+    _column(_DATES),
+    _column(_DATETIMES),
+    _column(_DATES, _DATETIMES),
+    _column(_INTS, _FLOATS, st.booleans(), _STRINGS, _DATES),
+    _column(st.decimals(-5, 5, places=1), _INTS),
+)
+
+
+class TestBuildMatchesSortKeyReference:
+    @given(_COLUMNS, st.sampled_from([1, 3, 32, 100]))
+    @settings(max_examples=400, deadline=None)
+    def test_identical_buckets(self, values, max_buckets):
+        assert same_histogram(
+            built_histogram(list(values), max_buckets),
+            reference_histogram(list(values), max_buckets),
+        )
+
+    def test_run_representative_is_first_seen(self):
+        # a stable sort: the bound of a run is whichever spelling of the
+        # value came first, exactly as under SortKey
+        for values in (["b", "A", "a", "B"], [1.0, 1, 2, 2.0], [2, 1.0, 1]):
+            built = built_histogram(values, max_buckets=100)
+            assert same_histogram(built, reference_histogram(values, 100))
+        assert [b[0] for b in built_histogram(["b", "A", "a", "B"], 100)[0]] \
+            == ["A", "b"]
+
+    def test_accepts_a_one_shot_iterator(self):
+        assert built_histogram(iter([3, None, 1, 3])) == \
+            reference_histogram([3, None, 1, 3])
+
+    def test_every_world_table_column(self):
+        checked = 0
+        for table in _world_tables():
+            fresh = TableStatistics.build(table.schema, list(table.rows()))
+            for ordinal, column in enumerate(table.schema):
+                values = [row[ordinal] for row in table.rows()]
+                buckets, null_rows = reference_histogram(values)
+                stats = table.statistics.column(column.name)
+                assert same_histogram(
+                    histogram_tuples(stats.histogram), (buckets, null_rows)
+                ), (table.name, column.name)
+                assert stats.null_count == null_rows
+                assert stats.distinct_count == max(
+                    1.0, sum(1 + b[3] for b in buckets)
+                )
+                # built from a row list, the same answer as from the heap
+                again = fresh.column(column.name)
+                assert again.distinct_count == stats.distinct_count
+                assert again.null_count == stats.null_count
+                checked += 1
+        assert checked > 40
+
+
+def _world_tables():
+    """Every base table of every server in every testcheck world."""
+    from repro.testcheck import worlds
+
+    builders = (
+        worlds.build_people_engine,
+        worlds.build_remote_pair,
+        worlds.build_partitioned_engine,
+        worlds.build_fig4_world,
+        worlds.build_pruning_world,
+        worlds.build_spool_world,
+        worlds.build_param_join_world,
+    )
+    for build in builders:
+        built = build()
+        engine = built[0] if isinstance(built, tuple) else built
+        servers = [engine] + [
+            link.datasource.backend for link in engine.linked_servers.values()
+        ]
+        try:
+            for server in servers:
+                for database in server.catalog.databases():
+                    for __, table in database.tables():
+                        yield table
+        finally:
+            for server in servers:
+                server.close()
+
+
+class TestDistinctCountHasOneDefinition:
+    """``=``, GROUP BY and DISTINCT fold case, so a column's distinct
+    count does too — the same number whether the optimizer reads it off
+    a local table or off a member's histogram rowset."""
+
+    def test_case_variants_count_once(self):
+        stats = ColumnStatistics.build("c", ["Ada", "ADA", "ada", "Bob", None])
+        assert stats.distinct_count == 2
+        assert stats.null_count == 1
+        assert stats.distinct_count == stats.histogram.distinct_count
+
+    def test_local_and_remote_agree(self):
+        from repro import Engine, NetworkChannel, ServerInstance
+
+        ddl = "CREATE TABLE t (id int, name varchar(10))"
+        rows = "INSERT INTO t VALUES (1, 'Ada'), (2, 'ADA'), (3, 'bob'), (4, 'Bob')"
+        with ServerInstance("r") as remote, Engine("local") as local:
+            for server in (remote, local):
+                server.execute(ddl)
+                server.execute(rows)
+            link = local.add_linked_server("r", remote, NetworkChannel("c"))
+            local_stats = (
+                local.catalog.database().table("t").statistics.column("name")
+            )
+            remote_stats = link.column_statistics("t", "name")
+            assert local_stats.distinct_count == remote_stats.distinct_count == 2
