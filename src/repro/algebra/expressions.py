@@ -174,7 +174,8 @@ class ColumnRef(ScalarExpr):
 
 
 class Parameter(ScalarExpr):
-    """A named query parameter (``@name``).
+    """A query parameter: named (``@name``) or a positional ``?``
+    marker, whose name is ``?`` and its ordinal.
 
     Parameters are the fuel of startup filters (Section 4.1.5: "most
     modern SQL applications make use of variables in their queries")
@@ -185,6 +186,10 @@ class Parameter(ScalarExpr):
         self.name = name.lstrip("@")
         self.type = type if type is not None else varchar()
 
+    @property
+    def display(self) -> str:
+        return self.name if self.name.startswith("?") else f"@{self.name}"
+
     def references(self) -> frozenset[ColumnId]:
         return frozenset()
 
@@ -192,10 +197,10 @@ class Parameter(ScalarExpr):
         return frozenset({self.name})
 
     def compile(self, layout: Layout) -> Compiled:
-        name = self.name
+        name, display = self.name, self.display
         def evaluate(row: Sequence[Any], params: Dict[str, Any]) -> Any:
             if name not in params:
-                raise ExecutionError(f"parameter @{name} not supplied")
+                raise ExecutionError(f"parameter {display} not supplied")
             return params[name]
         return evaluate
 
@@ -203,7 +208,7 @@ class Parameter(ScalarExpr):
         return ("param", self.name)
 
     def __repr__(self) -> str:
-        return f"@{self.name}"
+        return self.display
 
 
 _BINARY_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {

@@ -264,18 +264,16 @@ class LinkedServer:
         table_name: str,
         database: Optional[str] = None,
         refresh: bool = False,
-        allow_stale: bool = True,
     ) -> RemoteTableInfo:
         """Discover (and cache) schema/statistics for a remote table.
 
-        Delayed schema validation (Section 4.1.5) hinges on the
-        ``allow_stale`` fallback: when the server is unreachable but a
-        cached :class:`RemoteTableInfo` exists, compilation proceeds
-        against the cache and validation is deferred to execution time —
-        so queries whose plans never *touch* the unreachable member
-        still compile and run.  Pass ``allow_stale=False`` (as
-        :meth:`validate_schema_version` does) to force an on-the-wire
-        check.
+        Delayed schema validation (Section 4.1.5) hinges on the stale
+        fallback: when the server is unreachable but a cached
+        :class:`RemoteTableInfo` exists, compilation proceeds against
+        the cache and validation is deferred to execution time — so
+        queries whose plans never *touch* the unreachable member still
+        compile and run.  :meth:`validate_schema_version` is the
+        on-the-wire check, and never falls back.
         """
         key = (database.lower() if database else None, table_name.lower())
         with self._cache_lock:
@@ -289,7 +287,7 @@ class LinkedServer:
         except ServerUnavailableError:
             with self._cache_lock:
                 cached = self._table_cache.get(key)
-            if allow_stale and cached is not None:
+            if cached is not None:
                 channel = self.channel
                 if channel is not None:
                     channel._count("network.stale_metadata_served")
@@ -322,7 +320,7 @@ class LinkedServer:
         target = table_name.lower()
         columns = []
         for (tname, cname, __, type_name, nullable) in self._rowset(
-            session, "COLUMNS", database
+            session, "COLUMNS", database, table_name
         ):
             if tname.lower() == target:
                 columns.append(Column(cname, type_from_name(type_name), nullable))
@@ -330,20 +328,12 @@ class LinkedServer:
             raise CatalogError(
                 f"table {table_name!r} not found on linked server {self.name}"
             )
-        cardinality = 0.0
-        avg_width = 64.0
-        version = 1
-        for (tname, rows, width, schema_version) in self._rowset(
-            session, "TABLES_INFO", database
-        ):
-            if tname.lower() == target:
-                cardinality = float(rows)
-                avg_width = float(width)
-                version = int(schema_version)
-                break
+        cardinality, avg_width, version = self._tables_info(
+            session, table_name, database
+        ) or (0.0, 64.0, 1)
         indexes: Dict[str, list[tuple[int, str, bool]]] = {}
         for (tname, index_name, unique, ordinal, column_name) in self._rowset(
-            session, "INDEXES", database
+            session, "INDEXES", database, table_name
         ):
             if tname.lower() == target:
                 indexes.setdefault(index_name, []).append(
@@ -363,7 +353,7 @@ class LinkedServer:
         check_domains: Dict[str, IntervalSet] = {}
         try:
             for (tname, __, column_name, domain, __text) in self._rowset(
-                session, "CHECK_CONSTRAINTS", database
+                session, "CHECK_CONSTRAINTS", database, table_name
             ):
                 if tname.lower() == target and column_name and domain is not None:
                     existing = check_domains.get(column_name.lower())
@@ -383,12 +373,31 @@ class LinkedServer:
         )
 
     @staticmethod
-    def _rowset(session: Session, which: str, database: Optional[str]):
-        """schema_rowset with database targeting when supported."""
+    def _rowset(
+        session: Session, which: str, database: Optional[str], table_name: str
+    ):
+        """schema_rowset about one table: database targeting and the
+        TABLE_NAME restriction when supported, else everything the
+        provider has (callers keep only ``table_name``'s rows)."""
         try:
-            return session.schema_rowset(which, database_name=database)
+            return session.schema_rowset(
+                which, database_name=database, table_name=table_name
+            )
         except TypeError:
             return session.schema_rowset(which)
+
+    def _tables_info(
+        self, session: Session, table_name: str, database: Optional[str]
+    ) -> Optional[tuple[float, float, int]]:
+        """``table_name``'s TABLES_INFO row as (cardinality, average row
+        width, schema version); None when the provider lists none."""
+        target = table_name.lower()
+        for (tname, rows, width, schema_version) in self._rowset(
+            session, "TABLES_INFO", database, table_name
+        ):
+            if tname.lower() == target:
+                return float(rows), float(width), int(schema_version)
+        return None
 
     def _probe_without_schema_rowsets(self, table_name: str) -> RemoteTableInfo:
         """Simple providers: open the rowset and take its schema; no
@@ -440,15 +449,25 @@ class LinkedServer:
         self, table_name: str, database: Optional[str] = None
     ) -> None:
         """Re-read the remote schema version; raises when the cached
-        plan was compiled against a stale schema."""
+        plan was compiled against a stale schema.
+
+        One TABLES_INFO row is all it asks the server for.  Everything
+        else discovery reads is a function of the version, so on a match
+        the cached metadata stands, with the row's cardinality and width
+        and no column statistics — what a re-discovery would have
+        cached.  On a mismatch the metadata is dropped, so the next
+        compile discovers the new schema, and the error names the table
+        for whoever holds plans compiled against the old one.
+        """
         key = (database.lower() if database else None, table_name.lower())
         with self._cache_lock:
             cached = self._table_cache.get(key)
         if cached is None:
             return
         try:
-            fresh = self.table_info(
-                table_name, database, refresh=True, allow_stale=False
+            fresh = self.run_with_retry(
+                lambda: self._revalidate(cached, database),
+                description=f"table_info:{table_name}",
             )
         except ServerUnavailableError as error:
             raise ServerUnavailableError(
@@ -456,14 +475,42 @@ class LinkedServer:
                 f"{error}"
             ) from error
         if fresh.schema_version != cached.schema_version:
+            self.invalidate_metadata(table_name, database)
             raise SchemaValidationError(
                 f"schema of {self.name}.{table_name} changed "
                 f"(v{cached.schema_version} -> v{fresh.schema_version}); "
-                "recompile the statement"
+                "recompile the statement",
+                table_name=table_name,
             )
-        # keep the fresh copy cached
         with self._cache_lock:
             self._table_cache[key] = fresh
+
+    def _revalidate(
+        self, cached: RemoteTableInfo, database: Optional[str]
+    ) -> RemoteTableInfo:
+        """What :meth:`_discover` would return if ``cached``'s version
+        still holds, for the price of the table's TABLES_INFO row."""
+        channel = self.channel
+        if channel is not None:
+            channel.check_available()
+        table_name = cached.table_name
+        if not self.datasource.supports_interface(IDB_SCHEMA_ROWSET):
+            return self._probe_without_schema_rowsets(table_name)
+        row = self._tables_info(self.session, table_name, database)
+        if row is None:
+            raise CatalogError(
+                f"table {table_name!r} not found on linked server {self.name}"
+            )
+        cardinality, avg_width, version = row
+        return RemoteTableInfo(
+            table_name,
+            cached.schema,
+            cardinality,
+            avg_width,
+            version,
+            cached.indexes,
+            cached.check_domains,
+        )
 
     def invalidate_metadata(
         self, table_name: Optional[str] = None, database: Optional[str] = None

@@ -11,7 +11,6 @@ from repro.core.linked_server import type_from_name
 from repro.errors import TypeCheckError
 from repro.sql import ast
 from repro.sql.binder import TableBinder
-from repro.sql.parser import parse_sql
 from repro.storage.constraints import CheckConstraint, UniqueConstraint
 from repro.types.schema import Column, Schema
 
@@ -33,6 +32,7 @@ def create_table(engine: Any, stmt: ast.CreateTableStmt) -> None:
         ]
     )
     table = database.create_table(table_name, schema, schema_name)
+    born_at = table.schema_version
     for definition in stmt.columns:
         if definition.primary_key:
             table.add_constraint(
@@ -56,6 +56,8 @@ def create_table(engine: Any, stmt: ast.CreateTableStmt) -> None:
                 schema,
             )
         )
+    # the constraints are part of the CREATE, not changes to the table
+    table.schema_version = born_at
 
 
 def build_check(
@@ -97,12 +99,12 @@ def create_index(engine: Any, stmt: ast.CreateIndexStmt) -> None:
 
 def create_view(engine: Any, stmt: ast.CreateViewStmt) -> None:
     database, schema_name, view_name = engine.local_object(stmt.view)
-    parsed = parse_sql(stmt.select_sql)
-    is_partitioned = (
-        isinstance(parsed, ast.SelectStmt) and bool(parsed.union_all)
-    )
     database.create_view(
-        view_name, stmt.select_sql, schema_name, is_partitioned
+        view_name,
+        stmt.select_sql,
+        schema_name,
+        is_partitioned=bool(stmt.select.union_all),
+        select=stmt.select,
     )
 
 

@@ -28,7 +28,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro import ddl
 from repro.explain import explain
@@ -41,14 +41,17 @@ from repro.dtc.coordinator import TransactionCoordinator
 from repro.errors import (
     BindError,
     ExecutionError,
+    SchemaValidationError,
     ServerUnavailableError,
     SqlError,
 )
 from repro.execution.context import ExecutionContext
 from repro.execution.executor import execute_plan
 from repro.execution.plancache import (
+    CachedStatement,
     CompiledSelect,
     PlanCache,
+    StatementCache,
     lookup_compiled,
     plan_references,
     statement_key,
@@ -78,6 +81,7 @@ from repro.resilience.retry import QueryBudget, RetryPolicy
 from repro.session import Session, StatementContext, apply_set
 from repro.sql import ast
 from repro.sql.binder import Binder, FullTextBinding
+from repro.sql.lexer import marker_name
 from repro.sql.parser import parse_sql
 from repro.storage.catalog import Catalog, Database, DEFAULT_SCHEMA
 from repro.storage.transactions import LocalTransaction
@@ -161,6 +165,10 @@ class ServerInstance:
         #: schema version / stats generation / breaker state at lookup
         self.plan_cache = PlanCache(metrics=self.metrics)
         self.plan_cache_enabled = True
+        #: statement text -> parsed statement, probed before the lexer:
+        #: this server parses a text once (each server its own texts —
+        #: a member is another machine); as many texts as plans
+        self.statement_cache = StatementCache(self.plan_cache.capacity)
         #: statistics epoch; bumped by refresh_statistics() so plans
         #: costed on stale statistics recompile
         self._stats_generation = 0
@@ -213,6 +221,7 @@ class ServerInstance:
             except Exception:
                 pass
         self.plan_cache.clear()
+        self.statement_cache.clear()
         self.metrics.set_gauge("engine.closed", 1.0)
 
     @property
@@ -427,8 +436,15 @@ class ServerInstance:
     # ==================================================================
     # SqlBackend protocol (what our own OLE DB provider fronts)
     # ==================================================================
-    def execute_sql(self, text: str, txn: Optional[LocalTransaction] = None) -> Rowset:
-        result = self.execute(text, txn=txn)
+    def execute_sql(
+        self,
+        text: str,
+        params: Optional[Sequence[Any]] = None,
+        txn: Optional[LocalTransaction] = None,
+    ) -> Rowset:
+        """Run a command's text; ``params`` are the values bound to its
+        positional ``?`` markers."""
+        result = self.execute(text, params, txn=txn)
         schema = Schema(
             [Column(name, _infer_result_type(result, i)) for i, name in
              enumerate(result.columns)]
@@ -437,7 +453,7 @@ class ServerInstance:
 
     def describe_sql(self, text: str) -> Schema:
         """Bind-only schema discovery (used by command describe)."""
-        stmt = parse_sql(text)
+        stmt = self._parsed(text).statement
         if not isinstance(stmt, ast.SelectStmt):
             raise SqlError("describe_sql expects a SELECT")
         bound = Binder(self).bind_select(stmt)
@@ -454,15 +470,23 @@ class ServerInstance:
     #: bound on distinct statement texts kept in query_stats
     MAX_QUERY_STATS = 256
 
+    def _parsed(self, sql_text: str) -> CachedStatement:
+        """``sql_text`` parsed — by :func:`parse_sql` the first time
+        this server sees the text, from the statement cache after."""
+        return self.statement_cache.get(sql_text, parse_sql)
+
     def execute(
         self,
         sql_text: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: Optional[Dict[str, Any] | Sequence[Any]] = None,
         txn: Optional[LocalTransaction] = None,
         session: Optional[Session] = None,
     ) -> QueryResult:
         """Parse, plan, and run one SQL statement.
 
+        ``params`` binds ``@name`` parameters by name (a dict) or the
+        positional ``?`` markers in order (a sequence — what a linked
+        server's command sends, Section 4.1.2).
         ``txn`` attaches DML effects to a local transaction branch (the
         path distributed transactions arrive through).  ``session``
         selects whose settings the statement runs under; without one
@@ -482,6 +506,8 @@ class ServerInstance:
         statement when it ends.
         """
         session = session or self._default_session
+        if params is not None and not isinstance(params, dict):
+            params = {marker_name(i): v for i, v in enumerate(params)}
         trace = QueryTrace(sql_text) if self.tracing_enabled else None
         budget = (
             QueryBudget(self.query_timeout_ms)
@@ -508,13 +534,22 @@ class ServerInstance:
                 self.health.tick()
                 with bind_ledger(ctx.ledger):
                     with ctx.span("parse"):
-                        stmt = parse_sql(sql_text)
+                        ctx.cached = self._parsed(sql_text)
+                    stmt = ctx.cached.statement
                     handler = _HANDLERS.get(type(stmt))
                     if handler is None:
                         raise SqlError(
                             f"unsupported statement {type(stmt).__name__}"
                         )
                     result = handler(self, stmt, ctx)
+            except SchemaValidationError as error:
+                # plans compiled against the schema the member no longer
+                # has must not outlive the statement that found out
+                if error.table_name is not None:
+                    self.plan_cache.invalidate_tables(
+                        {error.table_name}, reason="ddl"
+                    )
+                raise
             finally:
                 self.governor.complete(ctx.group, ticket)
                 ctx.ledger.close()
@@ -582,7 +617,7 @@ class ServerInstance:
     ) -> OptimizationResult:
         """Optimize a SELECT without executing it (EXPLAIN).  Always
         compiles fresh, bypassing the plan cache."""
-        stmt = parse_sql(sql_text)
+        stmt = self._parsed(sql_text).statement
         if not isinstance(stmt, ast.SelectStmt):
             raise SqlError("plan() expects a SELECT statement")
         with self._compiling(session or self._default_session):

@@ -78,7 +78,12 @@ class AuthenticationError(ConnectionError_):
 
 
 class SchemaValidationError(ProviderError):
-    """Raised by delayed schema validation when a remote schema drifted."""
+    """Raised by delayed schema validation when a remote schema drifted;
+    ``table_name`` is the table whose version moved."""
+
+    def __init__(self, message: str, table_name: str | None = None):
+        super().__init__(message)
+        self.table_name = table_name
 
 
 class NetworkError(ProviderError):

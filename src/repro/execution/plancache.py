@@ -1,8 +1,16 @@
-"""Shared compiled-plan cache for multi-session engines.
+"""Text -> statement -> plan, each step taken once per engine.
+
+Two caches, both per :class:`~repro.engine.ServerInstance` and shared
+by its sessions.  The :class:`StatementCache` is probed first, before
+the lexer: raw statement text -> the parsed statement and its
+normalized text.  Parsing is a pure function of the text, so its
+entries are never invalidated, only evicted by the bound; a hit does no
+lexing, parsing or normalizing.  The :class:`PlanCache` is probed next,
+for SELECTs, and its entries *do* go stale.
 
 One optimized physical plan is expensive to produce (binding, Cascades
 exploration, costing) and cheap to re-execute, so the engine keeps the
-result of every cacheable ``SELECT`` compilation in a process-wide
+result of every cacheable ``SELECT`` compilation in its
 :class:`PlanCache`.  The cache is keyed by *normalized query text* ×
 *the plan-affecting settings fingerprint* — and only those.  DOP is
 deliberately **not** part of the key: plan fingerprints are DOP-free
@@ -13,7 +21,10 @@ change the plan *shape* change.
 Staleness is validated at lookup time rather than baked into the key:
 
 * ``schema_version`` — the catalog bump counter; any DDL makes every
-  plan compiled before it unusable (``invalidations_ddl``).
+  plan compiled before it unusable (``invalidations_ddl``).  DDL on a
+  *member* is found by delayed schema validation at execution time;
+  the driver then evicts the plans that reference the table under the
+  same reason.
 * ``stats_generation`` — bumped by statistics refreshes and remote
   writes; plans costed on stale statistics recompile
   (``invalidations_stats``).
@@ -27,8 +38,13 @@ Staleness is validated at lookup time rather than baked into the key:
   pinned query so the pin (or its removal) always wins over a stale
   cached plan (``invalidations_pin``).
 
-Thread-safety: every public method takes the internal ``RLock``; the
-cache is shared by all sessions of one engine.
+A member of a distributed query is sent marker text plus values
+(:mod:`repro.oledb.command`), so both of its caches hit across
+parameter values: one parse and one search per shipped text.
+
+Thread-safety: every public :class:`PlanCache` method takes the
+internal ``RLock``; the :class:`StatementCache` needs none (each of its
+steps is one atomic dictionary operation).
 """
 
 from __future__ import annotations
@@ -43,14 +59,78 @@ from repro.observability.querystore import normalize_query_text, query_hash
 from repro.resilience.health import CLOSED
 
 __all__ = [
+    "CachedStatement",
     "CompiledSelect",
     "PlanCacheEntry",
     "PlanCache",
+    "StatementCache",
     "plan_references",
     "statement_key",
     "lookup_compiled",
     "store_compiled",
 ]
+
+
+class CachedStatement:
+    """What one statement text parses to, kept so that the text is
+    parsed once: the AST (shared by every execution of the text, so
+    nothing may mutate it) and the normalized text the plan-cache key
+    and the query hash are made of (derived on first use: DML never
+    asks)."""
+
+    __slots__ = ("text", "statement", "_normalized")
+
+    def __init__(self, text: str, statement: Any):
+        self.text = text
+        self.statement = statement
+        self._normalized: Optional[str] = None
+
+    @property
+    def normalized_text(self) -> str:
+        if self._normalized is None:
+            # racing sessions compute the same pure value
+            self._normalized = normalize_query_text(self.text)
+        return self._normalized
+
+
+class StatementCache:
+    """Raw statement text -> :class:`CachedStatement`, one per engine.
+
+    Parsing is a pure function of the text, so an entry is never
+    invalidated; the cache is bounded and evicts the least recently
+    executed text.  A hit is two dictionary operations — no lexing, no
+    parsing, no normalizing, no lock.  Sessions racing on one new text
+    may each parse it; an entry is published only once it is complete.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        # every operation on it below is one C call, atomic under the GIL
+        self._entries: "OrderedDict[str, CachedStatement]" = OrderedDict()
+
+    def get(self, text: str, parse: Callable[[str], Any]) -> CachedStatement:
+        """The entry for ``text``, made by ``parse`` on a miss."""
+        entries = self._entries
+        entry = entries.get(text)
+        if entry is not None:
+            try:
+                entries.move_to_end(text)
+            except KeyError:  # evicted by a racing session; still good
+                pass
+            return entry
+        entry = entries[text] = CachedStatement(text, parse(text))
+        while len(entries) > self.capacity:
+            try:
+                entries.popitem(last=False)
+            except KeyError:  # a racing session emptied it
+                break
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
 def plan_references(plan: Any) -> tuple[frozenset, frozenset]:
@@ -340,7 +420,7 @@ def statement_key(engine: Any, ctx: Any) -> Optional[tuple]:
     ):
         return None
     return (
-        normalize_query_text(sql_text),
+        ctx.cached.normalized_text,
         _settings_fingerprint(engine, ctx.session),
     )
 

@@ -13,7 +13,6 @@ from typing import Any, Optional, Sequence
 
 from repro.errors import CatalogError, SqlError
 from repro.sql import ast
-from repro.sql.parser import parse_sql
 from repro.storage.catalog import Database, ViewDefinition
 from repro.types.intervals import IntervalSet
 
@@ -99,7 +98,7 @@ def partition_members(
     cached on the linked server (Section 4.1.5 + Section 3's metadata
     contract).
     """
-    stmt = parse_sql(view.sql_text)
+    stmt = view.select
     if not isinstance(stmt, ast.SelectStmt):
         raise CatalogError(f"view {view.name} is not a SELECT")
     branches = [stmt] + list(stmt.union_all)

@@ -6,14 +6,44 @@ statements" — set text, optionally bind parameters, execute, receive a
 rowset.  The language of the text is entirely provider-defined
 (Table 1): T-SQL for the SQL Server provider, the Index Server query
 language for the full-text provider, and so on.
+
+Parameters are positional ``?`` markers, found by the SQL lexer's token
+stream — the rule the receiving server applies — so a ``?`` inside a
+string literal, a bracketed name or a comment is text.  A command keeps
+its marker text and its bound values apart: a SQL provider hands both
+to its backend, which therefore sees one text however many value
+vectors follow and parses and plans it once (the point of Section
+4.1.2's parameterization rule).  The *rendered* text — values written
+in as literals — exists for two things only: it is what the channel is
+charged for, so the wire model is the one every recorded byte count
+was taken under, and it is what a provider whose language has no
+markers executes.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 from repro.errors import ProviderError
 from repro.oledb.rowset import Rowset
+from repro.sql.lexer import tokenize_sql
+
+
+@lru_cache(maxsize=256)
+def marker_positions(text: str) -> tuple[int, ...]:
+    """Offsets of the positional ``?`` markers in ``text``, in order.
+
+    A marker is what the SQL lexer says is one — the rule the server
+    that receives the text applies — so a ``?`` inside a string
+    literal, a bracketed name or a comment is not.  Remembered per
+    text: a cached plan executes one command text many times.
+    """
+    return tuple(
+        token.position
+        for token in tokenize_sql(text)
+        if token.kind == "parameter" and token.value.startswith("?")
+    )
 
 
 class Command:
@@ -37,7 +67,10 @@ class Command:
         """Execute the command; returns the result rowset.
 
         Commands over a network channel charge the outgoing text before
-        executing.
+        executing: the text with the bound values written in, which is
+        as long as the message a real provider sends (marker text plus
+        a parameter block would be about as long, and every recorded
+        byte count assumes this length).
         """
         if self.text is None:
             raise ProviderError("command has no text")
@@ -47,24 +80,24 @@ class Command:
         return self._execute(rendered)
 
     def _render_text(self) -> str:
-        """Substitute bound parameters into the text.
-
-        Parameters are marked ``?`` positionally.  Values are rendered
-        as SQL literals; providers with exotic literal syntax override.
-        """
+        """The text with each ``?`` marker replaced by its bound value
+        as a SQL literal; providers with exotic literal syntax override
+        :meth:`_render_literal`."""
         assert self.text is not None
         if not self.parameters:
             return self.text
-        parts = self.text.split("?")
-        if len(parts) - 1 != len(self.parameters):
+        text, positions = self.text, marker_positions(self.text)
+        if len(positions) != len(self.parameters):
             raise ProviderError(
-                f"command has {len(parts) - 1} parameter markers but "
+                f"command has {len(positions)} parameter markers but "
                 f"{len(self.parameters)} bound values"
             )
-        out = [parts[0]]
-        for value, tail in zip(self.parameters, parts[1:]):
+        out, start = [], 0
+        for position, value in zip(positions, self.parameters):
+            out.append(text[start:position])
             out.append(self._render_literal(value))
-            out.append(tail)
+            start = position + 1
+        out.append(text[start:])
         return "".join(out)
 
     @staticmethod
@@ -73,7 +106,10 @@ class Command:
 
         return infer_type(value).render_literal(value)
 
-    def _execute(self, text: str) -> Rowset:
+    def _execute(self, rendered: str) -> Rowset:
+        """Run the command.  ``rendered`` is all a provider whose
+        language has no markers needs; a SQL provider sends ``text`` and
+        ``parameters`` instead and never executes rendered text."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

@@ -158,20 +158,35 @@ class TableBackedSession(Session):
 
     # -- IDBSchemaRowset -----------------------------------------------------------
     def schema_rowset(
-        self, which: str, database_name: Optional[str] = None
+        self,
+        which: str,
+        database_name: Optional[str] = None,
+        table_name: Optional[str] = None,
     ) -> MaterializedRowset:
+        """One schema rowset; ``table_name`` is OLE DB's TABLE_NAME
+        restriction — rows about that table only, and no work (such as
+        a statistics build) on behalf of any other."""
         self._require("IDBSchemaRowset")
         kind = which.upper()
         database = self._database(database_name)
-        all_tables = [table for __, table in database.tables()]
+        wanted = None if table_name is None else table_name.lower()
+
+        def restricted(named: Iterable[tuple[str, Any]]) -> list:
+            return [
+                (schema_name, item)
+                for schema_name, item in named
+                if wanted is None or item.name.lower() == wanted
+            ]
+
+        tables = restricted(database.tables())
+        all_tables = [table for __, table in tables]
         if kind == "TABLES":
             entries = [
-                (schema_name, "TABLE", table)
-                for schema_name, table in database.tables()
+                (schema_name, "TABLE", table) for schema_name, table in tables
             ]
             entries += [
                 (schema_name, "VIEW", _ViewAsTable(view.name))
-                for schema_name, view in database.views()
+                for schema_name, view in restricted(database.views())
             ]
             return tables_rowset(entries, catalog_name=database.name)
         if kind == "COLUMNS":

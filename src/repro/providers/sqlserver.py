@@ -15,7 +15,7 @@ fully used while not overshooting its limitations").
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol
+from typing import Any, Optional, Protocol, Sequence
 
 from repro.network.channel import NetworkChannel
 from repro.oledb.command import Command
@@ -47,8 +47,11 @@ class SqlBackend(Protocol):
     name: str
     catalog: Catalog
 
-    def execute_sql(self, text: str) -> Rowset:
-        """Parse/plan/execute SQL text, returning the result rowset."""
+    def execute_sql(
+        self, text: str, params: Optional[Sequence[Any]] = None, txn: Any = None
+    ) -> Rowset:
+        """Parse/plan/execute SQL text with ``params`` bound to its
+        positional ``?`` markers, returning the result rowset."""
         ...
 
     def begin_transaction(self) -> ResourceManager:
@@ -151,13 +154,12 @@ class SqlCommand(Command):
             raise NotImplementedError
         return describe_sql(self.text)
 
-    def _execute(self, text: str) -> Rowset:
-        backend = self.session.datasource.backend
-        txn = getattr(self.session, "active_transaction", None)
-        if txn is not None:
-            result = backend.execute_sql(text, txn=txn)
-        else:
-            result = backend.execute_sql(text)
+    def _execute(self, rendered: str) -> Rowset:
+        # the backend gets the marker text and the values, so it parses
+        # and plans the text once however many value vectors follow
+        result = self.session.datasource.backend.execute_sql(
+            self.text, self.parameters, txn=self.session.active_transaction
+        )
         channel = self.session.datasource.channel
         if channel.is_local:
             return result

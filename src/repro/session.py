@@ -110,6 +110,9 @@ class StatementContext:
     ledger: Any = None
     #: the workload group, once the governor has classified
     group: Any = None
+    #: the statement cache's entry for ``sql_text`` (the parsed
+    #: statement and the normalized text), once the driver has probed
+    cached: Any = None
 
     def span(self, name: str, **attrs: Any):
         """A trace span, or the shared no-op when tracing is off."""

@@ -353,10 +353,14 @@ class CreateIndexStmt(Statement):
 
 
 class CreateViewStmt(Statement):
-    def __init__(self, view: NamedTable, select_sql: str):
+    def __init__(
+        self, view: NamedTable, select_sql: str, select: SelectStmt
+    ):
         self.view = view
-        #: the raw SELECT text, stored for re-binding at use time
+        #: the raw SELECT text, kept for display
         self.select_sql = select_sql
+        #: the parsed body, bound afresh at every use of the view
+        self.select = select
 
 
 class CreateDatabaseStmt(Statement):

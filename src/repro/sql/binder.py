@@ -54,7 +54,6 @@ from repro.algebra.logical import (
 from repro.errors import BindError
 from repro.oledb.datasource import DataSource
 from repro.sql import ast
-from repro.sql.parser import parse_sql
 from repro.storage.catalog import Database, ViewDefinition
 from repro.storage.table import Table
 from repro.types.datatypes import varchar
@@ -578,7 +577,7 @@ class Binder:
     def _bind_view(
         self, view: ViewDefinition, alias: str, scope: Scope
     ) -> LogicalOp:
-        stmt = parse_sql(view.sql_text)
+        stmt = view.select
         if not isinstance(stmt, ast.SelectStmt):
             raise BindError(f"view {view.name} body is not a SELECT")
         root, output_defs = self._bind_select_full(stmt, outer=None)

@@ -44,62 +44,78 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
-_PATTERNS = [
-    ("ws", re.compile(r"\s+")),
-    ("comment", re.compile(r"--[^\n]*")),
-    ("block_comment", re.compile(r"/\*.*?\*/", re.DOTALL)),
+#: (group name, pattern), tried in this order at every position; "junk"
+#: matches any one character nothing else did, so a scan never skips
+_PATTERNS = (
+    ("ws", r"\s+"),
+    ("comment", r"--[^\n]*"),
+    ("block_comment", r"/\*(?s:.*?)\*/"),
     # windows-style paths may appear unquoted in MakeTable() per the paper
-    ("path", re.compile(r"[A-Za-z]:[\\/][^\s,()']*")),
-    ("number", re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?")),
-    ("string", re.compile(r"'(?:[^']|'')*'")),
-    ("bracket_ident", re.compile(r"\[[^\]]*\]")),
-    ("quoted_ident", re.compile(r'"[^"]*"')),
-    ("parameter", re.compile(r"@[A-Za-z_][A-Za-z0-9_]*")),
-    ("identifier", re.compile(r"[A-Za-z_#][A-Za-z0-9_$#]*")),
-    ("operator", re.compile(r"<>|!=|<=|>=|=|<|>|\+|-|\*|/|%")),
-    ("punct", re.compile(r"[(),.;:]")),
-]
+    ("path", r"[A-Za-z]:[\\/][^\s,()']*"),
+    ("number", r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?"),
+    ("string", r"'(?:[^']|'')*'"),
+    ("bracket_ident", r"\[[^\]]*\]"),
+    ("quoted_ident", r'"[^"]*"'),
+    ("parameter", r"@[A-Za-z_][A-Za-z0-9_]*"),
+    ("marker", r"\?"),
+    ("identifier", r"[A-Za-z_#][A-Za-z0-9_$#]*"),
+    ("operator", r"<>|!=|<=|>=|=|<|>|\+|-|\*|/|%"),
+    ("punct", r"[(),.;:]"),
+    ("junk", r"(?s:.)"),
+)
+
+#: one alternation, dispatched on ``match.lastgroup``: the first
+#: alternative that matches is the first pattern that matches
+_TOKEN = re.compile(
+    "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _PATTERNS)
+)
+
+
+def marker_name(ordinal: int) -> str:
+    """The parameter name of the ``ordinal``-th (0-based) positional
+    ``?`` marker of a statement.  No ``@name`` can spell it, so named
+    and positional parameters never collide."""
+    return f"?{ordinal}"
 
 
 def tokenize_sql(text: str) -> list[Token]:
-    """Tokenize SQL text; raises :class:`LexerError` on junk."""
+    """Tokenize SQL text; raises :class:`LexerError` on junk.
+
+    A positional ``?`` marker is a ``parameter`` token named by its
+    ordinal among the statement's markers (:func:`marker_name`)."""
     tokens: list[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        for kind, pattern in _PATTERNS:
-            match = pattern.match(text, position)
-            if match is None:
-                continue
-            lexeme = match.group()
-            if kind in ("ws", "comment", "block_comment"):
-                pass
-            elif kind == "number":
-                tokens.append(Token("number", lexeme, position))
-            elif kind == "string":
-                # undouble embedded quotes
-                inner = lexeme[1:-1].replace("''", "'")
-                tokens.append(Token("string", inner, position))
-            elif kind == "path":
-                tokens.append(Token("string", lexeme, position))
-            elif kind == "bracket_ident":
-                tokens.append(Token("identifier", lexeme[1:-1], position))
-            elif kind == "quoted_ident":
-                tokens.append(Token("identifier", lexeme[1:-1], position))
-            elif kind == "parameter":
-                tokens.append(Token("parameter", lexeme, position))
-            elif kind == "identifier":
-                token_kind = (
-                    "keyword" if lexeme.lower() in KEYWORDS else "identifier"
+    append = tokens.append
+    markers = 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "ws":
+            continue
+        lexeme = match.group()
+        position = match.start()
+        if kind == "identifier":
+            append(
+                Token(
+                    "keyword" if lexeme.lower() in KEYWORDS else "identifier",
+                    lexeme,
+                    position,
                 )
-                tokens.append(Token(token_kind, lexeme, position))
-            else:
-                tokens.append(Token(kind, lexeme, position))
-            position = match.end()
-            break
-        else:
-            raise LexerError(
-                f"unexpected character {text[position]!r}", position
             )
-    tokens.append(Token("eof", "", length))
+        elif kind == "punct" or kind == "operator" or kind == "number":
+            append(Token(kind, lexeme, position))
+        elif kind == "string":
+            # undouble embedded quotes
+            append(Token("string", lexeme[1:-1].replace("''", "'"), position))
+        elif kind == "bracket_ident" or kind == "quoted_ident":
+            append(Token("identifier", lexeme[1:-1], position))
+        elif kind == "parameter":
+            append(Token("parameter", lexeme, position))
+        elif kind == "marker":
+            append(Token("parameter", marker_name(markers), position))
+            markers += 1
+        elif kind == "path":
+            append(Token("string", lexeme, position))
+        elif kind == "junk":
+            raise LexerError(f"unexpected character {lexeme!r}", position)
+        # comments produce nothing
+    tokens.append(Token("eof", "", len(text)))
     return tokens

@@ -590,11 +590,15 @@ class _Parser:
                 "CREATE VIEW body must be a SELECT", start_token.position
             )
         select_sql = self.text[start_token.position:].rstrip().rstrip(";")
-        # validate it parses, then consume all remaining tokens
-        _Parser(select_sql).select_statement()
+        # parse the body as a statement of its own -- the view keeps the
+        # result, so no use of the view parses it again -- then consume
+        # all remaining tokens
+        body = _Parser(select_sql)
+        select = body.select_statement()
+        body.expect_eof()
         while self.peek().kind != "eof":
             self.next()
-        return ast.CreateViewStmt(view, select_sql)
+        return ast.CreateViewStmt(view, select_sql, select)
 
     def drop_statement(self) -> ast.DropTableStmt:
         self.expect_keyword("drop")

@@ -8,7 +8,7 @@ default collation.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import CatalogError
 from repro.storage.table import Table
@@ -18,19 +18,27 @@ DEFAULT_SCHEMA = "dbo"
 
 
 class ViewDefinition:
-    """A named view: stored SQL text, expanded at bind time.
+    """A named view: its SQL text and the body parsed from it at CREATE
+    VIEW (``select``, an AST no one mutates), expanded at bind time.
 
     Partitioned views (Section 4.1.5) are ordinary views whose body is
     a UNION ALL of member tables; the federation package recognizes the
     shape and attaches partition metadata.
     """
 
-    __slots__ = ("name", "sql_text", "is_partitioned")
+    __slots__ = ("name", "sql_text", "is_partitioned", "select")
 
-    def __init__(self, name: str, sql_text: str, is_partitioned: bool = False):
+    def __init__(
+        self,
+        name: str,
+        sql_text: str,
+        is_partitioned: bool = False,
+        select: Any = None,
+    ):
         self.name = name
         self.sql_text = sql_text
         self.is_partitioned = is_partitioned
+        self.select = select
 
     def __repr__(self) -> str:
         kind = "PARTITIONED VIEW" if self.is_partitioned else "VIEW"
@@ -46,6 +54,11 @@ class Database:
         self._views: dict[str, dict[str, ViewDefinition]] = {DEFAULT_SCHEMA: {}}
         #: bumped by every DDL so compiled plans can detect staleness
         self.schema_version = 0
+        #: (schema, table) -> the version a dropped table died at: a
+        #: table re-created under the name continues from it, so a
+        #: linked server that remembers the old table sees the version
+        #: move (delayed schema validation, Section 4.1.5)
+        self._dropped_versions: dict[tuple[str, str], int] = {}
 
     def bump_schema_version(self) -> None:
         """Note a schema change not routed through this object (e.g.
@@ -75,6 +88,9 @@ class Database:
         if key in views:
             raise CatalogError(f"{name!r} already exists as a view")
         table = Table(name, schema)
+        table.schema_version += self._dropped_versions.pop(
+            (self._key(schema_name), key), 0
+        )
         tables[key] = table
         self.schema_version += 1
         return table
@@ -85,12 +101,13 @@ class Database:
         sql_text: str,
         schema_name: str = DEFAULT_SCHEMA,
         is_partitioned: bool = False,
+        select: Any = None,
     ) -> ViewDefinition:
         views = self._views_in(schema_name)
         key = self._key(name)
         if key in views or key in self._tables_in(schema_name):
             raise CatalogError(f"object {name!r} already exists")
-        view = ViewDefinition(name, sql_text, is_partitioned)
+        view = ViewDefinition(name, sql_text, is_partitioned, select)
         views[key] = view
         self.schema_version += 1
         return view
@@ -100,7 +117,9 @@ class Database:
         key = self._key(name)
         if key not in tables:
             raise CatalogError(f"table {name!r} does not exist")
-        del tables[key]
+        self._dropped_versions[self._key(schema_name), key] = (
+            tables.pop(key).schema_version
+        )
         self.schema_version += 1
 
     def _tables_in(self, schema_name: str) -> dict[str, Table]:

@@ -30,7 +30,9 @@ class Table:
         self.constraints: list[Constraint] = []
         self._stats: Optional[TableStatistics] = None
         #: monotonically increasing schema version (delayed schema
-        #: validation, Section 4.1.5, compares these across servers)
+        #: validation, Section 4.1.5, compares these across servers):
+        #: whatever metadata discovery reads besides row count and
+        #: width changes only together with it
         self.schema_version = 1
 
     # -- DDL ----------------------------------------------------------------
@@ -46,6 +48,7 @@ class Table:
         for rid, row in self.heap.scan():
             index.insert(row, rid)
         self.indexes[name] = index
+        self.schema_version += 1
         return index
 
     def add_constraint(self, constraint: Constraint) -> None:
@@ -60,6 +63,7 @@ class Table:
             if index_name not in self.indexes:
                 self.create_index(index_name, constraint.column_names, unique=True)
         self.constraints.append(constraint)
+        self.schema_version += 1
 
     def check_constraints(self) -> list[CheckConstraint]:
         """All CHECK constraints (partition pruning reads these)."""

@@ -87,6 +87,26 @@ class TestRemoteSqlServer:
         )
         assert r.rows == [("item3",)]
 
+    def test_question_mark_in_a_pushed_literal_is_not_a_marker(
+        self, remote_pair
+    ):
+        """The shipped text holds a literal with a ``?`` in it next to
+        the marker ``@k`` became; only the marker takes a value."""
+        local, remote, __c = remote_pair
+        remote.execute("INSERT INTO items VALUES (500, 'what?', 3, 1.0)")
+        sql = (
+            "SELECT i.item_id FROM remote0.master.dbo.items i "
+            "WHERE i.name = 'what?' AND i.item_id >= @k"
+        )
+        r = local.execute(sql, params={"k": 50})
+        shipped = [
+            n.sql_text for n in r.plan.walk() if isinstance(n, P.RemoteQuery)
+        ]
+        assert shipped and "'what?'" in shipped[0]
+        assert shipped[0].count("?") == 2
+        assert r.rows == [(500,)]
+        assert local.execute(sql, params={"k": 501}).rows == []
+
     def test_unknown_linked_server(self, remote_pair):
         local, __, __c = remote_pair
         with pytest.raises(BindError, match="linked server"):

@@ -312,6 +312,47 @@ class TestSqlServerProvider:
         with pytest.raises(ProviderError, match="markers"):
             cmd.execute()
 
+    @pytest.mark.parametrize(
+        "text, values, expected",
+        [
+            # a ? inside a literal is text, not a marker
+            ("SELECT id FROM t WHERE v <> 'a?' AND id = ?", [2], [(2,)]),
+            ("SELECT id FROM t WHERE v <> '?' AND id = ?", [1], [(1,)]),
+            # an escaped quote does not end the literal early
+            ("SELECT id FROM t WHERE v <> 'it''s ?' AND id = ?", [1], [(1,)]),
+            ("SELECT id FROM t WHERE v <> ? AND v <> 'x''?'", ["a"], [(2,)]),
+            # nor is one inside a bracketed name or a comment
+            ("SELECT id AS [id?] FROM t WHERE id = ? -- ?", [2], [(2,)]),
+            ("SELECT id FROM t /* ? */ WHERE id = ?", [1], [(1,)]),
+        ],
+    )
+    def test_markers_are_what_the_lexer_says(self, text, values, expected):
+        __, ds = self._pair()
+        cmd = ds.create_session().create_command()
+        cmd.set_text(text)
+        cmd.bind_parameters(values)
+        assert cmd.execute().fetch_all() == expected
+        # a second value has no marker to go to
+        cmd.bind_parameters(values + [0])
+        with pytest.raises(ProviderError, match="1 parameter markers but 2"):
+            cmd.execute()
+
+    def test_rendered_text_is_the_wire_charge(self):
+        backend = ServerInstance("be")
+        backend.execute("CREATE TABLE t (id int, v varchar(10))")
+        channel = NetworkChannel("ch", latency_ms=1)
+        ds = SqlServerDataSource(backend, channel=channel)
+        ds.initialize()
+        cmd = ds.create_session().create_command()
+        cmd.set_text("SELECT id FROM t WHERE v = 'a?' AND v <> ? AND id > ?")
+        cmd.bind_parameters(["it's", 12345])
+        cmd.execute().fetch_all()
+        rendered = "SELECT id FROM t WHERE v = 'a?' AND v <> 'it''s' AND id > 12345"
+        assert channel.stats.bytes_sent == len(rendered)
+        # what the backend ran is the marker text, not the rendering
+        assert cmd.text in backend.query_stats
+        assert rendered not in backend.query_stats
+
     def test_describe_binds_without_running(self):
         __, ds = self._pair()
         cmd = ds.create_session().create_command()

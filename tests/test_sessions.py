@@ -28,6 +28,7 @@ the seed so a bad interleaving reproduces with::
 
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -167,6 +168,65 @@ class TestConcurrencyBattery:
         assert engine.parallel_dop == 1
         assert engine.optimizer.parallel_dop == 1
         assert not engine.partial_results
+
+    def test_eight_sessions_share_one_text(self):
+        """Eight sessions hammer one parameterized remote read, each
+        with its own values and DOP: every answer is its own, and the
+        text was parsed into one AST — on the coordinator and on the
+        member, which saw one marker text — that nobody wrote to."""
+        sql = "SELECT id, v FROM east.master.dbo.rt WHERE id >= @a AND v < @b"
+        reference = build_engine()
+        expected = {
+            (a, b): sorted(reference.execute(sql, {"a": a, "b": b}).rows)
+            for a in range(100, 125, 3) for b in (5, 10, 19)
+        }
+        engine = build_engine()
+        east = engine.linked_server("east").datasource.backend
+        n_sessions, failures = 8, []
+        barrier = threading.Barrier(n_sessions)
+
+        def make_worker(index: int):
+            def worker():
+                rng = random.Random((SCHED_SEED << 16) ^ index)
+                session = engine.create_session(f"w{index}")
+                session.execute(f"SET PARALLEL_DOP {rng.choice((1, 2, 4))}")
+                barrier.wait()
+                for __ in range(40):
+                    (a, b), rows = rng.choice(sorted(expected.items()))
+                    try:
+                        got = session.execute(sql, {"a": a, "b": b}).rows
+                    except Exception as error:  # noqa: BLE001
+                        failures.append((SCHED_SEED, index, repr(error)))
+                        return
+                    if sorted(got) != rows:
+                        failures.append((SCHED_SEED, index, (a, b), got))
+
+            return worker
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads([make_worker(i) for i in range(n_sessions)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, (
+            f"seed {SCHED_SEED} (repro: SESSIONS_SCHED_SEED={SCHED_SEED} "
+            f"pytest tests/test_sessions.py): {failures[:5]}"
+        )
+        from repro.sql.parser import parse_sql
+
+        for server in (engine, east):
+            assert len(server.statement_cache) <= server.statement_cache.capacity
+        shared = engine.statement_cache.get(sql, None).statement
+        assert repr(shared) == repr(parse_sql(sql))
+        shipped = [t for t in east.query_stats if "?" in t]
+        assert len(shipped) == 1
+        assert east.query_stats[shipped[0]].execution_count == 8 * 40
+        assert repr(east.statement_cache.get(shipped[0], None).statement) == repr(
+            parse_sql(shipped[0])
+        )
+        # racing first executions may each compile; nobody else does
+        assert east.plan_cache.misses <= n_sessions
 
     def test_sessions_appear_in_dmv(self):
         engine = build_engine()

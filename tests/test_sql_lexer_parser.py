@@ -1,9 +1,14 @@
 """Tests for the SQL lexer and parser."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexerError, ParseError
 from repro.sql import ast, parse_sql, tokenize_sql
+from repro.sql.lexer import KEYWORDS
 from repro.sql.parser import parse_expression
 
 
@@ -48,6 +53,191 @@ class TestLexer:
     def test_garbage_raises(self):
         with pytest.raises(LexerError):
             tokenize_sql("SELECT \x01")
+
+    def test_markers_are_parameters_named_by_ordinal(self):
+        tokens = tokenize_sql("a = ? AND b = @b AND c = ?")
+        parameters = [
+            (t.value, t.position) for t in tokens if t.kind == "parameter"
+        ]
+        assert parameters == [("?0", 4), ("@b", 14), ("?1", 25)]
+
+    def test_question_mark_inside_a_token_is_no_marker(self):
+        tokens = tokenize_sql("x = 'a?' AND [b?] = ? -- ?\n/* ? */")
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [
+            ("identifier", "x"), ("operator", "="), ("string", "a?"),
+            ("keyword", "AND"), ("identifier", "b?"), ("operator", "="),
+            ("parameter", "?0"),
+        ]
+
+
+# ----------------------------------------------------------------------
+# the lexer is one alternation; the loop it replaced is the reference
+# ----------------------------------------------------------------------
+_REFERENCE_PATTERNS = [
+    ("ws", re.compile(r"\s+")),
+    ("comment", re.compile(r"--[^\n]*")),
+    ("block_comment", re.compile(r"/\*.*?\*/", re.DOTALL)),
+    ("path", re.compile(r"[A-Za-z]:[\\/][^\s,()']*")),
+    ("number", re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?")),
+    ("string", re.compile(r"'(?:[^']|'')*'")),
+    ("bracket_ident", re.compile(r"\[[^\]]*\]")),
+    ("quoted_ident", re.compile(r'"[^"]*"')),
+    ("parameter", re.compile(r"@[A-Za-z_][A-Za-z0-9_]*")),
+    ("marker", re.compile(r"\?")),
+    ("identifier", re.compile(r"[A-Za-z_#][A-Za-z0-9_$#]*")),
+    ("operator", re.compile(r"<>|!=|<=|>=|=|<|>|\+|-|\*|/|%")),
+    ("punct", re.compile(r"[(),.;:]")),
+]
+
+
+def reference_tokenize(text):
+    """The lexer before it became one alternation — every pattern tried
+    in turn at every position — plus the ``?`` marker row; returns
+    (kind, value, position) triples."""
+    tokens, position, markers = [], 0, 0
+    while position < len(text):
+        for kind, pattern in _REFERENCE_PATTERNS:
+            match = pattern.match(text, position)
+            if match is None:
+                continue
+            lexeme = match.group()
+            if kind in ("ws", "comment", "block_comment"):
+                pass
+            elif kind == "string":
+                inner = lexeme[1:-1].replace("''", "'")
+                tokens.append(("string", inner, position))
+            elif kind == "path":
+                tokens.append(("string", lexeme, position))
+            elif kind in ("bracket_ident", "quoted_ident"):
+                tokens.append(("identifier", lexeme[1:-1], position))
+            elif kind == "marker":
+                tokens.append(("parameter", f"?{markers}", position))
+                markers += 1
+            elif kind == "identifier":
+                token_kind = (
+                    "keyword" if lexeme.lower() in KEYWORDS else "identifier"
+                )
+                tokens.append((token_kind, lexeme, position))
+            else:
+                tokens.append((kind, lexeme, position))
+            position = match.end()
+            break
+        else:
+            raise LexerError(
+                f"unexpected character {text[position]!r}", position
+            )
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def _lex_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except LexerError as error:
+        return ("LexerError", str(error), error.position)
+
+
+def _token_triples(text):
+    return [(t.kind, t.value, t.position) for t in tokenize_sql(text)]
+
+
+def assert_lexes_like_the_reference(text):
+    assert _lex_outcome(_token_triples, text) == _lex_outcome(
+        reference_tokenize, text
+    ), text
+
+
+def _corpus():
+    """Every text the lexer is handed (and every remote text the
+    decoder emits, chosen plan or not) while the testcheck worlds are
+    built and 300 generated statements are compiled against the
+    distributed world of schema seeds 0-2."""
+    from repro.core import decoder
+    from repro.sql import parser
+    from repro.testcheck import worlds
+    from repro.testcheck.oracle import build_world
+    from repro.testcheck.schema import generate_schema
+    from repro.testcheck.sqlgen import generate_query
+
+    texts, generated = set(), 0
+    patch = pytest.MonkeyPatch()
+    lex, decoded_init = parser.tokenize_sql, decoder.DecodedQuery.__init__
+
+    def recording_lex(text):
+        texts.add(text)
+        return lex(text)
+
+    def recording_init(self, sql_text, *args, **kwargs):
+        texts.add(sql_text)
+        decoded_init(self, sql_text, *args, **kwargs)
+
+    patch.setattr(parser, "tokenize_sql", recording_lex)
+    patch.setattr(decoder.DecodedQuery, "__init__", recording_init)
+    try:
+        worlds.build_people_engine()
+        worlds.build_remote_pair()
+        worlds.build_partitioned_engine()
+        worlds.build_fig4_world(customers=20, suppliers=5)
+        for schema_seed in range(3):
+            schema = generate_schema(schema_seed)
+            world = build_world(schema, "distributed")
+            for index in range(100):
+                query = generate_query(schema, schema_seed * 10_000 + index)
+                world.engine.plan(query.render(world.name_map))
+                generated += 1
+    finally:
+        patch.undo()
+    return texts, generated
+
+
+class TestLexerMatchesReference:
+    def test_generated_statements_remote_texts_and_world_ddl(self):
+        texts, generated = _corpus()
+        assert generated == 300
+        assert any("[" in t and "?" in t for t in texts), "no marker text"
+        assert any(t.startswith("CREATE VIEW") for t in texts)
+        for text in texts:
+            assert_lexes_like_the_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a = 'x?' AND b = ?",
+            "'it''s' ? '' ?",
+            "'unterminated ?",
+            "/* open comment ? ",
+            "[open bracket ?",
+            '"open quote ?',
+            r"MakeTable(Mail, d:\mail\smith?.mmf) ?",
+            "1e5 1.5E-3 .5 12. 1e 1e+ 3.e2",
+            "a.b.[c d].\"e\" @p@q ?? @ 1",
+            "x -- ? \n ? /* ? */ ?",
+            "a <> b != c <= d >= e % f ! g",
+            "tab\tnew\nline\r\x0b ?",
+            "caf\u00e9 ?",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert_lexes_like_the_reference(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [
+                    "'", "''", '"', "[", "]", "--", "/*", "*/", "@", "?",
+                    ".", ",", "(", ")", ";", ":", " ", "\n", "\t",
+                    r"c:\dir\f.mmf", "d:/x/y", "1e5", "1.5E-3", ".5", "12.",
+                    "e", "E+", "7", "abc", "SELECT", "_x1", "#t", "$",
+                    "@p", "<>", "!=", "<=", "!", "=", "-", "/", "*", "%",
+                    "\x01", "\u00e9", "\\",
+                ]
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_fragment_alphabet(self, text):
+        assert_lexes_like_the_reference(text)
 
 
 class TestSelectParsing:
