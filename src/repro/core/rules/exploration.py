@@ -13,6 +13,7 @@ from repro.algebra.expressions import ScalarExpr, conjoin, conjuncts
 from repro.algebra.logical import Join, JoinKind, Select
 from repro.core.memo import Group, GroupExpression
 from repro.core.rules.base import ExplorationRule, RuleContext
+from repro.errors import DecoderError
 
 _REORDERABLE = (JoinKind.INNER, JoinKind.CROSS)
 
@@ -240,7 +241,7 @@ class PredicateSplitByRemotability(ExplorationRule):
             try:
                 decoder._expr(conjunct, probe_columns)
                 remotable.append(conjunct)
-            except Exception:
+            except DecoderError:
                 residual.append(conjunct)
         if not remotable or not residual:
             return 0

@@ -7,8 +7,11 @@ must preserve query semantics:
   seeded random federated schemas and always-binding SELECT workloads
   built on the :mod:`repro.sql` AST;
 * :mod:`~repro.testcheck.oracle` — the multi-oracle differential
-  runner (all-local reference vs. distributed vs. remote-rules-ablated
-  vs. fault-injected) with collation-aware multiset equality;
+  runner: one table of oracle rows (the all-local reference, the
+  distributed optimizer and its ablated, faulted, traced, parallel,
+  cached, governed and partial variants, and the crash-injected
+  ``atomic`` DML row of :mod:`~repro.testcheck.atomic`) driven by one
+  loop, with collation-aware multiset equality;
 * :mod:`~repro.testcheck.golden` — normalized EXPLAIN snapshots for
   the paper's canonical plans (Figure 4, partition pruning, remote
   spool, parameterized join).
@@ -23,8 +26,8 @@ from repro.testcheck.oracle import (
     DiffReport,
     DifferentialRunner,
     Mismatch,
+    Worlds,
     build_world,
-    build_worlds,
     canonical_rows,
     case_id,
     is_sorted_by,
@@ -41,8 +44,8 @@ __all__ = [
     "GeneratedQuery",
     "Mismatch",
     "SchemaSpec",
+    "Worlds",
     "build_world",
-    "build_worlds",
     "canonical_rows",
     "case_id",
     "generate_query",

@@ -1,44 +1,51 @@
 """The ``atomic`` oracle: crash 2PC mid-protocol, recover, diff.
 
-The eighth differential configuration is not a SELECT oracle: it drives
-seeded DML through the distributed partitioned view with a crash armed
-at a random 2PC protocol step (every coordinator crash point plus every
-per-branch delivery fault — the full matrix in
+The table's ``atomic`` row is not a SELECT oracle: its cases are seeded
+DML statements driven through the distributed partitioned view with a
+crash armed at a random 2PC protocol step (every coordinator crash
+point plus every per-branch delivery fault — the full matrix in
 :data:`repro.resilience.faults.TWO_PC_CRASH_POINTS` /
-:data:`~repro.resilience.faults.TWO_PC_DELIVERY_FAULTS`), resolves any
-in-doubt transaction through :meth:`TransactionCoordinator.recover`,
-and then requires every member to be **all-or-nothing** against a
-single-engine reference that applied exactly the statements that
-committed.
+:data:`~repro.resilience.faults.TWO_PC_DELIVERY_FAULTS`).  The
+:func:`atomic` comparator resolves any in-doubt transaction through
+:meth:`TransactionCoordinator.recover`, then requires every member to
+be **all-or-nothing** against a single-engine shadow that applied
+exactly the statements that committed.
 
 Four properties are checked per statement:
 
 1. *atomicity* — after resolution, ``SELECT * FROM pv`` on the
-   distributed world equals the reference multiset (no torn writes);
+   distributed world equals the shadow's multiset (no torn writes);
 2. *fail-fast* — while a transaction is in doubt, reads through the
    view raise :class:`~repro.errors.TransactionInDoubtError` rather
    than observing prepared-but-undecided effects;
 3. *resolution* — recovery resolves every in-doubt transaction to the
    logged decision (commit iff the decision record was flushed);
 4. *idempotency* — a second recovery pass is a no-op.
+
+Statements of one seed form a battery (:data:`STATEMENTS`): crash
+effects accumulate statement to statement, so ``--repro a<seed>:<i>``
+replays the whole battery.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
+from typing import Iterator, NamedTuple
 
 from repro.errors import TransactionAborted, TransactionInDoubtError
 from repro.resilience.faults import TwoPCFaultPlan
 from repro.testcheck.oracle import (
-    DiffReport,
-    Mismatch,
+    Cases,
+    Failure,
     OracleWorld,
+    answer,
     build_world,
     canonical_rows,
     rowsets_equal,
 )
-from repro.testcheck.schema import PV_YEARS, generate_schema
+from repro.testcheck.schema import PV_YEARS, SchemaSpec
+from repro.testcheck.sqlgen import _render_literal
 
 #: the all-members probe compared after every statement
 PROBE_SQL = "SELECT k, pdate, val, tag FROM pv"
@@ -47,18 +54,20 @@ PROBE_SQL = "SELECT k, pdate, val, tag FROM pv"
 STATEMENTS_PER_SEED = 8
 
 
-def atomic_case_id(seed: int, statement_index: int) -> str:
-    """Atomic cases are namespaced ``a<seed>:<index>`` so the plain
-    query-oracle case ids stay parseable as integers."""
-    return f"a{seed}:{statement_index}"
+class AtomicStatement(NamedTuple):
+    """One DML case of a battery.  Its checked answer is a table state,
+    so it carries no ORDER BY keys."""
 
+    sql: str
+    plan_seed: int
+    order_keys = ()
 
-def _render(value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return str(value)
+    def render(self, name_map: dict[str, str]) -> str:
+        return self.sql  # the view has one name in every topology
+
+    def explained(self, name_map: dict[str, str]) -> str:
+        # EXPLAIN takes SELECTs only: show the read the check diffs
+        return PROBE_SQL
 
 
 def _generate_statement(rng: random.Random, next_key: list) -> str:
@@ -78,7 +87,7 @@ def _generate_statement(rng: random.Random, next_key: list) -> str:
             next_key[0] += 1
             rows.append(
                 f"({key}, '{year}-{rng.randint(1, 12)}-{rng.randint(1, 27)}',"
-                f" {rng.randint(0, 50)}, {_render(rng.choice(['x', 'y', None]))})"
+                f" {rng.randint(0, 50)}, {_render_literal(rng.choice(['x', 'y', None]))})"
             )
         return (
             "INSERT INTO pv (k, pdate, val, tag) VALUES "
@@ -89,7 +98,7 @@ def _generate_statement(rng: random.Random, next_key: list) -> str:
             (
                 f"val < {rng.randint(1, 8)}",
                 f"k BETWEEN {rng.randint(0, 10)} AND {rng.randint(11, 30)}",
-                f"tag = {_render(rng.choice(['x', 'y']))}",
+                f"tag = {_render_literal(rng.choice(['x', 'y']))}",
             )
         )
         return f"UPDATE pv SET val = {rng.randint(0, 99)} WHERE {predicate}"
@@ -97,154 +106,104 @@ def _generate_statement(rng: random.Random, next_key: list) -> str:
     return f"DELETE FROM pv WHERE k BETWEEN {low} AND {low + rng.randint(0, 2)}"
 
 
+def generate_statements(schema: SchemaSpec) -> Iterator[AtomicStatement]:
+    """A seed's battery, in order: every statement draws from one rng,
+    and each carries the seed of its own crash plan."""
+    rng = random.Random(schema.seed * 7919 + 11)
+    next_key = [100_000]  # far above generated member keys
+    for index in itertools.count():
+        yield AtomicStatement(
+            _generate_statement(rng, next_key), schema.seed * 1_000 + index
+        )
+
+
+#: the crash-injected DML batteries, case ids ``a<seed>:<index>``
+STATEMENTS = Cases("a", generate_statements, STATEMENTS_PER_SEED)
+
+
+def is_statement(schema: SchemaSpec, case) -> bool:
+    return isinstance(case, AtomicStatement)
+
+
+def with_shadow(world: OracleWorld) -> None:
+    world.shadow = build_world(world.schema, "local")
+
+
+def arm_crash(world: OracleWorld, statement: AtomicStatement, cid: str) -> None:
+    plan = TwoPCFaultPlan(seed=statement.plan_seed)
+    plan.arm_random(tuple(dict.fromkeys(m.host for m in world.schema.view.members)))
+    world.engine.dtc.crash_plan = plan
+
+
 def _probe_rows(world: OracleWorld) -> list[tuple]:
     return world.engine.execute(PROBE_SQL).rows
 
 
-def _mismatch(
-    case: str,
-    detail: str,
-    sql: str,
-    reference_rows: list[tuple],
-    actual_rows: list[tuple],
-) -> Mismatch:
-    return Mismatch(
-        case_id=case,
-        kind="atomic",
-        config="distributed",
-        detail=detail,
-        sql_by_config={"distributed": sql, "local": sql},
-        explain_by_config={},
-        reference_rows=canonical_rows(reference_rows),
-        actual_rows=canonical_rows(actual_rows),
+def _check_fenced(world: OracleWorld, armed: str) -> None:
+    # fail-fast check: while any branch of the in-doubt txn is still
+    # undecided (enlisted/prepared), reads through the view must fence.
+    # A crash after every branch committed (e.g. coordinator_before_
+    # forget) leaves no torn state, so reads legitimately proceed.
+    undecided = any(
+        branch.state not in ("committed", "aborted")
+        for txn in world.engine.dtc.in_doubt_transactions()
+        for branch in txn.branches
+    )
+    if not undecided:
+        return
+    try:
+        rows = _probe_rows(world)
+    except TransactionInDoubtError:
+        return
+    raise Failure(
+        "atomic",
+        f"read through the view succeeded while txn in doubt ({armed})",
+        canonical_rows(_probe_rows(world.shadow)), canonical_rows(rows),
     )
 
 
-def run_atomic_battery(
-    seed: int, n_statements: int = STATEMENTS_PER_SEED
-) -> list[Mismatch]:
-    """Drive ``n_statements`` crash-injected DML statements for one
-    schema seed; returns every atomicity violation found (empty = the
-    all-or-nothing guarantee held at every protocol step)."""
-    schema = generate_schema(seed)
-    reference = build_world(schema, "local")
-    subject = build_world(schema, "distributed")
-    engine = subject.engine
-    member_hosts = tuple(
-        dict.fromkeys(m.host for m in schema.view.members)
-    )
-    rng = random.Random(seed * 7919 + 11)
-    next_key = [100_000]  # far above generated member keys
-    mismatches: list[Mismatch] = []
-
-    for index in range(n_statements):
-        case = atomic_case_id(seed, index)
-        sql = _generate_statement(rng, next_key)
-        plan = TwoPCFaultPlan(seed=seed * 1_000 + index)
-        armed = plan.arm_random(member_hosts)
-        engine.dtc.crash_plan = plan
-        committed: Optional[bool] = None
-        try:
-            try:
-                engine.execute(sql)
-                committed = True
-            except TransactionAborted:
-                committed = False
-            except TransactionInDoubtError:
-                # fail-fast check: while any branch of the in-doubt
-                # txn is still undecided (enlisted/prepared), reads
-                # through the view must fence.  A crash after every
-                # branch committed (e.g. coordinator_before_forget)
-                # leaves no torn state, so reads legitimately proceed.
-                undecided = any(
-                    branch.state not in ("committed", "aborted")
-                    for txn in engine.dtc.in_doubt_transactions()
-                    for branch in txn.branches
+def atomic(world: OracleWorld, statement: AtomicStatement, reference,
+           outcome) -> None:
+    """The comparator: the four properties for the statement whose
+    outcome (a result, or the abort / in-doubt error) just came back."""
+    dtc = world.engine.dtc
+    plan = dtc.crash_plan
+    armed = f"armed {(plan.fired + sorted(plan.armed))[0]}"
+    committed = not isinstance(outcome, Exception)
+    try:
+        if isinstance(outcome, TransactionInDoubtError):
+            _check_fenced(world, armed)
+            report = dtc.recover()
+            if report.unresolved:
+                raise Failure(
+                    "atomic",
+                    f"recovery left transactions unresolved: "
+                    f"{report.unresolved} ({armed})",
                 )
-                if undecided:
-                    try:
-                        rows = _probe_rows(subject)
-                        mismatches.append(
-                            _mismatch(
-                                case,
-                                f"read through the view succeeded while "
-                                f"txn in doubt (armed {armed})",
-                                sql,
-                                _probe_rows(reference),
-                                rows,
-                            )
-                        )
-                    except TransactionInDoubtError:
-                        pass
-                report = engine.dtc.recover()
-                if report.unresolved:
-                    mismatches.append(
-                        _mismatch(
-                            case,
-                            f"recovery left transactions unresolved: "
-                            f"{report.unresolved} (armed {armed})",
-                            sql,
-                            [],
-                            [],
-                        )
-                    )
-                    break
-                committed = bool(report.committed)
-        finally:
-            engine.dtc.crash_plan = None
-
-        if engine.dtc.has_in_doubt():
-            mismatches.append(
-                _mismatch(
-                    case,
-                    f"in-doubt transactions remain after resolution "
-                    f"(armed {armed})",
-                    sql,
-                    [],
-                    [],
-                )
-            )
-            break
-        # idempotency: recovery with nothing in doubt is a no-op
-        rerun = engine.dtc.recover()
-        if rerun.resolved or rerun.unresolved:
-            mismatches.append(
-                _mismatch(
-                    case,
-                    f"second recovery pass was not a no-op: {rerun!r}",
-                    sql,
-                    [],
-                    [],
-                )
-            )
-        if committed:
-            reference.engine.execute(sql)
-        expected = _probe_rows(reference)
-        actual = _probe_rows(subject)
-        if not rowsets_equal(expected, actual):
-            outcome = "committed" if committed else "aborted"
-            mismatches.append(
-                _mismatch(
-                    case,
-                    f"partitioned view diverged from reference after "
-                    f"{outcome} statement (armed {armed}, "
-                    f"fired {plan.fired})",
-                    sql,
-                    expected,
-                    actual,
-                )
-            )
-            break
-    return mismatches
-
-
-def run_atomic_seeds(
-    seeds, n_statements: int = STATEMENTS_PER_SEED
-) -> DiffReport:
-    """The multi-seed crash-recovery fuzz entry point used by CI."""
-    report = DiffReport()
-    for seed in seeds:
-        found = run_atomic_battery(seed, n_statements)
-        report.cases_run += n_statements
-        report.mismatches.extend(found)
-    return report
+            committed = bool(report.committed)
+        elif not isinstance(outcome, TransactionAborted):
+            answer(outcome)  # any other exception fails as an ``error``
+    finally:
+        dtc.crash_plan = None
+    if dtc.has_in_doubt():
+        raise Failure(
+            "atomic",
+            f"in-doubt transactions remain after resolution ({armed})",
+        )
+    # idempotency: recovery with nothing in doubt is a no-op
+    rerun = dtc.recover()
+    if rerun.resolved or rerun.unresolved:
+        raise Failure(
+            "atomic", f"second recovery pass was not a no-op: {rerun!r}"
+        )
+    if committed:
+        world.shadow.engine.execute(statement.sql)
+    expected, actual = _probe_rows(world.shadow), _probe_rows(world)
+    if not rowsets_equal(expected, actual):
+        outcome_name = "committed" if committed else "aborted"
+        raise Failure(
+            "atomic",
+            f"partitioned view diverged from reference after "
+            f"{outcome_name} statement ({armed}, fired {plan.fired})",
+            canonical_rows(expected), canonical_rows(actual),
+        )

@@ -1,33 +1,37 @@
-"""Multi-oracle differential execution.
+"""Multi-oracle differential execution: one table of oracle rows.
 
-Every generated query runs under several configurations that must agree
-row-for-row (as a collation-aware multiset):
+Every generated case runs under each row of :data:`ORACLES` that
+applies to it.  A row names a world (built by :func:`build_world` from
+one topology, then adjusted by the row's ``configure``), a comparator
+its answer must satisfy against the reference, and when it applies:
 
-=============  ========================================================
-``local``      every table in one engine — the semantics reference
-               (no network, no remote rules, plain local plans)
-``distributed``  tables spread across linked servers, full optimizer
-               (remote-query construction, parameterized joins,
-               locality grouping, remote spools all enabled)
-``ablated``    same topology, remote rules disabled — remote tables
-               are fetched whole and all logic runs locally
-``faulted``    same topology, plus a seeded FaultInjector on every
-               channel and a retry policy that must mask the faults
-``traced``     same topology as ``distributed``, with hierarchical
-               query tracing AND the Query Store enabled — observers
-               must never change answers (no observer effect)
-``parallel``   same topology, ``SET PARALLEL_DOP 4`` — exchange
-               operators run remote branches on concurrent workers,
-               which must never change answers (DOP invariance)
-``cached``     same topology as ``distributed``; every query runs
-               *twice* through the same engine — a cold compile, then
-               a warm plan-cache hit — and both answers must match
-               the reference (a cached plan is not a different plan)
-``governed``   same topology, every statement under a constrained
-               workload group (small memory pool, MAX_DOP 1, reduced
-               grants) — the resource governor may delay or clamp a
-               query, never change its answer
-=============  ========================================================
+===============  ==========================================  ============  ===========================
+row              configures                                  comparator    applies to
+===============  ==========================================  ============  ===========================
+``local``        every table in one engine — the semantics   equal         every SELECT
+                 reference (no network, no remote rules)
+``distributed``  tables on linked servers, full optimizer    equal         every SELECT
+                 (remote queries, parameterized joins,
+                 locality grouping, remote spools)
+``ablated``      remote rules off — remote tables fetched    equal         every SELECT
+                 whole, all logic local
+``faulted``      a seeded FaultInjector per channel,         equal         every SELECT
+                 re-seeded per case, masked by retries
+``traced``       span tracing and the Query Store on —       equal         every SELECT
+                 observers must not change answers
+``parallel``     ``SET PARALLEL_DOP 4`` — exchanges run      equal         every SELECT
+                 remote branches concurrently
+``cached``       nothing: two legs, a cold compile then a    equal         every SELECT
+                 warm run that must hit the plan cache
+``governed``     a constrained workload group (small pool,   equal         every SELECT
+                 MAX_DOP 1, reduced grants)
+``partial``      first remote PV member down,                sub_multiset  monotonic SELECTs (no TOP,
+                 ``SET PARTIAL_RESULTS ON``                                no aggregate, no table on
+                                                                           the down host)
+``atomic``       a crash armed at a random 2PC step per      atomic        the DML statements of
+                 statement, a single-engine shadow           (see          :mod:`~repro.testcheck.atomic`
+                                                             ``atomic``)
+===============  ==========================================  ============  ===========================
 
 The paper's claim under test: DHQP's remote rules participate in
 cost-based search *without changing query semantics* — so plans that
@@ -35,44 +39,39 @@ ship predicates, build remote queries, probe with parameters, or
 retry after transient faults must all return exactly what the
 all-local reference returns.
 
-A fifth column, ``partial``, runs when the schema has a remotely-hosted
-partitioned view: the first remote member is taken down and
-``SET PARTIAL_RESULTS ON`` — for monotonic queries (no TOP, no
-aggregation, no direct read of the down member) the degraded answer
-must be a *sub-multiset* of the all-local reference: fewer rows is
-degradation, different rows is a bug.
+Every leg of every row is also checked for sortedness under the
+query's ORDER BY keys, and after every case every world built so far
+(coordinator and members) must be quiesce-clean — no bound ledger,
+memory grant, pool request, in-flight statement, in-doubt transaction
+or live exchange worker (kind ``leak``).
 
 A mismatch report carries everything needed to reproduce: the case
-seed, the SQL text rendered for each configuration, each
-configuration's EXPLAIN output, and the per-server network counters
-(retries, backoff, breaker trips/fast-fails) of every configuration
-that ran.
+id, the SQL text and EXPLAIN of every world the case applies to, and
+the per-server network counters, traced span tree and plan-cache
+evidence of every leg that ran.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import traceback
 import zlib
 from collections import Counter
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.engine import Engine, QueryResult, ServerInstance
 from repro.core.optimizer import OptimizerOptions
 from repro.network.channel import NetworkChannel
+from repro.network.ledger import current_ledger
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
 from repro.sql import ast as ast_sql
-from repro.testcheck.schema import SchemaSpec, TableSpec, generate_schema
+from repro.testcheck.schema import SchemaSpec, generate_schema
 from repro.testcheck.sqlgen import GeneratedQuery, generate_query
 from repro.types.collation import DEFAULT_COLLATION
 from repro.types.intervals import SortKey
-
-#: configuration names, in the order they run
-CONFIGS = (
-    "local", "distributed", "ablated", "faulted", "traced", "parallel",
-    "cached", "governed",
-)
 
 
 def _stable_hash(text: str) -> int:
@@ -88,161 +87,148 @@ ABLATED_OPTIONS = dict(
 )
 
 
+@dataclass(eq=False)
 class OracleWorld:
-    """One materialized configuration: engine + name map for rendering."""
+    """One materialized configuration: its engines (the coordinator is
+    ``local``), channels, and the name map for rendering."""
 
-    __slots__ = ("name", "engine", "name_map", "channels")
+    name: str
+    schema: SchemaSpec
+    engines: dict[str, Engine]
+    name_map: dict[str, str] = field(default_factory=dict)
+    channels: dict[str, NetworkChannel] = field(default_factory=dict)
+    #: the ``atomic`` row's single-engine twin
+    shadow: Optional[OracleWorld] = None
 
-    def __init__(
-        self,
-        name: str,
-        engine: Engine,
-        name_map: dict[str, str],
-        channels: Optional[dict[str, NetworkChannel]] = None,
-    ):
-        self.name = name
-        self.engine = engine
-        self.name_map = name_map
-        self.channels = channels or {}
+    @property
+    def engine(self) -> Engine:
+        return self.engines["local"]
 
-    def run(self, query: GeneratedQuery) -> QueryResult:
+    def run(self, query) -> QueryResult:
         return self.engine.execute(query.render(self.name_map))
 
-    def explain(self, query: GeneratedQuery) -> str:
+    def explain(self, query) -> str:
         try:
             result = self.engine.execute(
-                "EXPLAIN " + query.render(self.name_map)
+                "EXPLAIN " + query.explained(self.name_map)
             )
             return "\n".join(row[0] for row in result.rows)
         except Exception as error:  # EXPLAIN must never mask the report
             return f"<explain failed: {type(error).__name__}: {error}>"
 
 
-def _load_tables(schema: SchemaSpec, host_for) -> dict[str, Engine]:
-    """Create and fill every table on its host; returns engines by name."""
-    engines: dict[str, Engine] = {"local": Engine("local")}
+class Worlds(dict):
+    """One schema's oracle worlds by row name, each built on first use."""
+
+    def __init__(self, schema: SchemaSpec):
+        super().__init__()
+        self.schema = schema
+
+    def __missing__(self, name: str) -> OracleWorld:
+        world = self[name] = build_world(self.schema, name)
+        return world
+
+
+def build_world(schema: SchemaSpec, name: str) -> OracleWorld:
+    """Materialize the schema (tables + data + partitioned view) in the
+    named row's topology, then apply the row's ``configure``."""
+    row = next(row for row in ORACLES if row.name == name)
+    world = OracleWorld(name, schema, {"local": Engine("local")})
     for table in schema.tables.values():
-        host = host_for(table)
-        engine = engines.get(host)
+        host = table.host if row.federated else "local"
+        engine = world.engines.get(host)
         if engine is None:
-            engine = ServerInstance(host)
-            engines[host] = engine
+            engine = world.engines[host] = ServerInstance(host)
         engine.execute(table.ddl())
         storage = engine.catalog.database().table(table.name)
-        for row in table.rows:
-            storage.insert(row)
-    return engines
-
-
-def _create_view(
-    schema: SchemaSpec, local: Engine, host_for
-) -> None:
-    if schema.view is None:
-        return
-    branches = []
-    for member in schema.view.members:
-        host = host_for(member)
-        prefix = "" if host == "local" else f"{host}.master.dbo."
-        branches.append(f"SELECT * FROM {prefix}{member.name}")
-    local.execute(
-        f"CREATE VIEW {schema.view.name} AS " + " UNION ALL ".join(branches)
-    )
-
-
-def build_world(
-    schema: SchemaSpec,
-    config: str,
-    fault_seed: int = 0,
-    optimizer_options: Optional[OptimizerOptions] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> OracleWorld:
-    """Materialize the schema (tables + data + partitioned view) under
-    one oracle configuration."""
-    distributed = config != "local"
-    host_for = (lambda t: t.host) if distributed else (lambda t: "local")
-
-    if optimizer_options is None and config == "ablated":
-        optimizer_options = OptimizerOptions(**ABLATED_OPTIONS)
-
-    engines = _load_tables(schema, host_for)
-    local = engines["local"]
-    if optimizer_options is not None:
-        local.optimizer.options = optimizer_options
-    if config == "traced":
-        # the observer-effect oracle: full observability on, results
-        # must still match the untraced reference row-for-row
-        local.tracing_enabled = True
-        local.query_store_enabled = True
-
-    channels: dict[str, NetworkChannel] = {}
-    if distributed:
-        if retry_policy is None and config == "faulted":
-            retry_policy = RetryPolicy(
-                max_attempts=10, base_backoff_ms=1.0, max_backoff_ms=8.0
-            )
-        for host, engine in engines.items():
-            if host == "local":
-                continue
-            channel = NetworkChannel(
-                f"ch-{host}", latency_ms=0.5, mb_per_second=50
-            )
-            if config == "faulted":
-                channel.fault_injector = FaultInjector(
-                    seed=fault_seed + _stable_hash(host) % 1000,
-                    transient_rate=0.05,
-                    timeout_rate=0.02,
-                )
-            local.add_linked_server(
-                host, engine, channel, retry_policy=retry_policy
-            )
-            channels[host] = channel
-    _create_view(schema, local, host_for)
-    if config == "parallel":
-        # the DOP-invariance oracle: exchanges above remote branches,
-        # answers must still match the serial reference row-for-row
-        local.execute("SET PARALLEL_DOP 4")
-    if config == "governed":
-        # the resource-governor oracle: a constrained group (finite
-        # pool, reduced grants, MAX_DOP 1) may delay or clamp every
-        # statement but must never change its answer.  The timeout is
-        # generous — single-session sequential execution never queues,
-        # so nothing can shed.
-        local.governor.create_pool(
-            "oracle_pool", max_memory_kb=4096.0, max_concurrency=1
-        )
-        local.governor.create_group(
-            "constrained",
-            pool="oracle_pool",
-            max_dop=1,
-            max_memory_grant_pct=50.0,
-            request_timeout_ms=10_000.0,
-        )
-        local.execute("SET WORKLOAD GROUP 'constrained'")
-
-    name_map = {}
-    for table in schema.tables.values():
-        host = host_for(table)
-        name_map[table.name] = (
+        for values in table.rows:
+            storage.insert(values)
+        world.name_map[table.name] = (
             table.name if host == "local"
             else f"{host}.master.dbo.{table.name}"
         )
-    if schema.view is not None:
-        name_map[schema.view.name] = schema.view.name
-    return OracleWorld(config, local, name_map, channels)
-
-
-def build_worlds(
-    schema: SchemaSpec, fault_seed: int = 0
-) -> dict[str, OracleWorld]:
-    return {
-        config: build_world(schema, config, fault_seed=fault_seed)
-        for config in CONFIGS
-    }
+    for host, engine in list(world.engines.items())[1:]:
+        channel = NetworkChannel(
+            f"ch-{host}", latency_ms=0.5, mb_per_second=50
+        )
+        world.engine.add_linked_server(host, engine, channel)
+        world.channels[host] = channel
+    view = schema.view
+    if view is not None:
+        world.engine.execute(
+            f"CREATE VIEW {view.name} AS " + " UNION ALL ".join(
+                f"SELECT * FROM {world.name_map[member.name]}"
+                for member in view.members
+            )
+        )
+        world.name_map[view.name] = view.name
+    row.configure(world)
+    return world
 
 
 # ======================================================================
-# the partial-results oracle (degraded-mode subset column)
+# the rows' world adjustments and applicability
 # ======================================================================
+
+def _unchanged(*_args) -> None:
+    """Leave the world as built."""
+
+
+def _ablate(world: OracleWorld) -> None:
+    world.engine.optimizer.options = OptimizerOptions(**ABLATED_OPTIONS)
+
+
+def _inject_faults(world: OracleWorld) -> None:
+    retry_policy = RetryPolicy(
+        max_attempts=10, base_backoff_ms=1.0, max_backoff_ms=8.0
+    )
+    for host, channel in world.channels.items():
+        channel.fault_injector = FaultInjector(
+            seed=world.schema.seed + _stable_hash(host) % 1000,
+            transient_rate=0.05,
+            timeout_rate=0.02,
+        )
+        world.engine.linked_server(host).retry_policy = retry_policy
+
+
+def _reseed_faults(world: OracleWorld, case, cid: str) -> None:
+    # per-case deterministic fault stream, independent of whatever ran
+    # before (so --repro replays exactly)
+    for channel in world.channels.values():
+        channel.fault_injector.reset(
+            seed=_stable_hash(f"{cid}/{channel.name}")
+        )
+
+
+def _observe(world: OracleWorld) -> None:
+    # the observer-effect oracle: full observability on, results must
+    # still match the untraced reference row-for-row
+    world.engine.tracing_enabled = True
+    world.engine.query_store_enabled = True
+
+
+def _parallelize(world: OracleWorld) -> None:
+    # the DOP-invariance oracle: exchanges above remote branches,
+    # answers must still match the serial reference row-for-row
+    world.engine.execute("SET PARALLEL_DOP 4")
+
+
+def _govern(world: OracleWorld) -> None:
+    # the resource-governor oracle: a constrained group (finite pool,
+    # reduced grants, MAX_DOP 1) may delay or clamp every statement but
+    # must never change its answer.  The timeout is generous — single-
+    # session sequential execution never queues, so nothing can shed.
+    governor = world.engine.governor
+    governor.create_pool("oracle_pool", max_memory_kb=4096.0, max_concurrency=1)
+    governor.create_group(
+        "constrained",
+        pool="oracle_pool",
+        max_dop=1,
+        max_memory_grant_pct=50.0,
+        request_timeout_ms=10_000.0,
+    )
+    world.engine.execute("SET WORKLOAD GROUP 'constrained'")
+
 
 def partial_down_host(schema: SchemaSpec) -> Optional[str]:
     """The partitioned-view member host the partial oracle takes down
@@ -256,34 +242,32 @@ def partial_down_host(schema: SchemaSpec) -> Optional[str]:
     return hosts[0] if hosts else None
 
 
-def build_partial_world(
-    schema: SchemaSpec, fault_seed: int = 0
-) -> tuple[Optional[OracleWorld], Optional[str]]:
-    """A fifth world: distributed topology, one PV member down, and
-    ``SET PARTIAL_RESULTS ON`` — its answers must be sub-multisets of
-    the all-local reference, never wrong rows."""
-    down_host = partial_down_host(schema)
+def _take_member_down(world: OracleWorld) -> None:
+    down_host = partial_down_host(world.schema)
     if down_host is None:
-        return None, None
-    world = build_world(schema, "partial", fault_seed=fault_seed)
+        return
     # warm every member's metadata while healthy: delayed schema
     # validation then lets degraded queries still compile
-    world.engine.execute(f"SELECT * FROM {schema.view.name}")
+    world.engine.execute(f"SELECT * FROM {world.schema.view.name}")
     world.channels[down_host].fault_injector = FaultInjector(
-        seed=fault_seed, down=True
+        seed=world.schema.seed, down=True
     )
     world.engine.execute("SET PARTIAL_RESULTS ON")
-    return world, down_host
+
+
+def _selects(schema: SchemaSpec, case) -> bool:
+    return isinstance(case, GeneratedQuery)
 
 
 def eligible_for_partial(
-    schema: SchemaSpec, query: GeneratedQuery, down_host: str
+    schema: SchemaSpec, query: GeneratedQuery, down_host: Optional[str]
 ) -> bool:
     """The subset property only holds for monotonic queries: no TOP, no
     aggregation (a COUNT over fewer partitions is a *different* number,
     not a subset), and no base table hosted on the down member (those
-    reads have no healthy sibling and stay fail-stop)."""
-    if query.has_top:
+    reads have no healthy sibling and stay fail-stop).  Without a down
+    host there is nothing to degrade."""
+    if down_host is None or query.has_top:
         return False
     stmt = query.stmt
     if stmt.group_by or stmt.having is not None:
@@ -298,13 +282,9 @@ def eligible_for_partial(
     return True
 
 
-def is_sub_multiset(sub: list[tuple], sup: list[tuple]) -> bool:
-    """Canonical multiset inclusion: every row of ``sub`` appears in
-    ``sup`` at least as many times."""
-    sub_counts = Counter(canonical_rows(sub))
-    sup_counts = Counter(canonical_rows(sup))
-    return all(
-        count <= sup_counts[row] for row, count in sub_counts.items()
+def _degradable(schema: SchemaSpec, case) -> bool:
+    return _selects(schema, case) and eligible_for_partial(
+        schema, case, partial_down_host(schema)
     )
 
 
@@ -343,6 +323,16 @@ def rowsets_equal(a: list[tuple], b: list[tuple]) -> bool:
     return canonical_rows(a) == canonical_rows(b)
 
 
+def is_sub_multiset(sub: list[tuple], sup: list[tuple]) -> bool:
+    """Canonical multiset inclusion: every row of ``sub`` appears in
+    ``sup`` at least as many times."""
+    sub_counts = Counter(canonical_rows(sub))
+    sup_counts = Counter(canonical_rows(sup))
+    return all(
+        count <= sup_counts[row] for row, count in sub_counts.items()
+    )
+
+
 def is_sorted_by(
     rows: list[tuple], order_keys: list[tuple[int, bool]]
 ) -> bool:
@@ -359,6 +349,156 @@ def is_sorted_by(
 
 
 # ======================================================================
+# comparators: each checks one leg's outcome (a QueryResult, or the
+# exception the leg raised) against the reference leg's, raising Failure
+# ======================================================================
+
+@dataclass(eq=False)
+class Failure(Exception):
+    """A property one leg violated: the mismatch kind, what went wrong,
+    and the rows that show it (``reference_rows=None`` reports the
+    reference leg's answer)."""
+
+    kind: str
+    detail: str
+    reference_rows: Optional[list[tuple]] = None
+    actual_rows: list[tuple] = field(default_factory=list)
+
+
+def answer(outcome) -> list[tuple]:
+    """A leg's rows; a leg that raised fails the case as an ``error``."""
+    if isinstance(outcome, Exception):
+        raise Failure(
+            "error",
+            "configuration raised:\n"
+            + "".join(traceback.format_exception(outcome)),
+        )
+    return outcome.rows
+
+
+def equal(world: OracleWorld, case, reference, outcome) -> None:
+    expected, rows = answer(reference), answer(outcome)
+    if not rowsets_equal(expected, rows):
+        raise Failure(
+            "rows",
+            f"result multiset differs from the all-local reference "
+            f"({len(expected)} vs {len(rows)} rows)",
+            expected, rows,
+        )
+
+
+def sub_multiset(world: OracleWorld, case, reference, outcome) -> None:
+    """Fewer rows is degradation; different rows is a bug."""
+    expected, rows = answer(reference), answer(outcome)
+    if not is_sub_multiset(rows, expected):
+        raise Failure(
+            "partial",
+            f"degraded answer is not a sub-multiset of the all-local "
+            f"reference ({len(rows)} vs {len(expected)} rows)",
+            expected, rows,
+        )
+
+
+def _check_leg(row: "Oracle", world: OracleWorld, case, reference,
+               outcome, leg: int) -> None:
+    """Every property one leg must hold.  Legs after the first replay
+    the same text through the same engine, so they must hit the plan
+    cache, and anything they get wrong is a ``cache`` failure."""
+    try:
+        row.compare(world, case, reference, outcome)
+        if case.order_keys and not is_sorted_by(
+            answer(outcome), case.order_keys
+        ):
+            raise Failure(
+                "order",
+                f"rows violate ORDER BY keys {case.order_keys}",
+                actual_rows=outcome.rows,
+            )
+        if leg and outcome.plan_cache_status != "hit":
+            raise Failure(
+                "cache",
+                f"did not hit the plan cache "
+                f"(status={outcome.plan_cache_status!r})",
+                actual_rows=outcome.rows,
+            )
+    except Failure as failure:
+        if leg:
+            failure.kind = "cache"
+            failure.detail = f"warm rerun {leg}: {failure.detail}"
+        raise
+
+
+def _leaks(world: OracleWorld) -> list[str]:
+    """What the world still holds after a case (empty = quiesce-clean)."""
+    leaks = []
+    if current_ledger() is not None:
+        leaks.append("a statement ledger is still bound")
+    for host, engine in world.engines.items():
+        governor = engine.governor
+        held = [f"grant {grant!r}" for grant in governor.active_grants()]
+        held += [
+            f"{pool!r} with {pool.queued_requests()} queued"
+            for pool in governor.pools.values()
+            if pool.used_memory_kb or pool.active_requests
+            or pool.queued_requests()
+        ]
+        if engine._inflight:
+            held.append(f"{engine._inflight} statement(s) in flight")
+        if engine.dtc.has_in_doubt():
+            held.append("a transaction in doubt")
+        held += [
+            f"live exchange worker {thread.name}"
+            for scheduler in list(engine._schedulers)
+            for thread in scheduler.threads
+            if thread.is_alive()
+        ]
+        leaks += [f"{host}: {item}" for item in held]
+    return leaks
+
+
+# ======================================================================
+# the oracle table
+# ======================================================================
+
+class Oracle(NamedTuple):
+    """One row of the oracle table."""
+
+    name: str
+    #: adjusts the freshly built world (options, observers, faults...)
+    configure: Callable[[OracleWorld], None] = _unchanged
+    #: checks one leg against the reference leg; raises Failure
+    compare: Callable[..., None] = equal
+    #: whether the row checks this case of this schema
+    applies: Callable[[SchemaSpec, Any], bool] = _selects
+    #: runs of each case through the same engine
+    legs: int = 1
+    #: ``(world, case, cid)`` hook run before a case's first leg
+    before_case: Callable[..., None] = _unchanged
+    #: tables on their generated hosts (False: every table in one engine)
+    federated: bool = True
+
+
+class Cases(NamedTuple):
+    """One family of cases: its case-id prefix, a schema's cases in
+    order, and — for a battery whose cases share state — its length
+    (a replay then reruns the whole battery; independent cases replay
+    alone)."""
+
+    prefix: str
+    draw: Callable[[SchemaSpec], Iterator[Any]]
+    battery: Optional[int] = None
+
+
+def _queries(schema: SchemaSpec) -> Iterator[GeneratedQuery]:
+    for index in itertools.count():
+        yield generate_query(schema, schema.seed * 10_000 + index)
+
+
+#: the generated SELECT workload every SELECT row checks
+SELECTS = Cases("", _queries)
+
+
+# ======================================================================
 # mismatch reporting
 # ======================================================================
 
@@ -369,49 +509,37 @@ def _sample(rows: list[tuple], limit: int = 8) -> str:
     return "\n    ".join(shown) if shown else "<empty>"
 
 
+@dataclass
 class Mismatch:
     """One differential failure, with everything needed to reproduce."""
 
-    def __init__(
-        self,
-        case_id: str,
-        kind: str,
-        config: str,
-        detail: str,
-        sql_by_config: dict[str, str],
-        explain_by_config: dict[str, str],
-        reference_rows: list[tuple],
-        actual_rows: list[tuple],
-        network_by_config: Optional[dict[str, dict]] = None,
-        trace_payload: Optional[dict] = None,
-        cache_info: Optional[dict] = None,
-    ):
-        self.case_id = case_id
-        #: 'rows' (multiset differs), 'order' (ORDER BY violated),
-        #: 'partial' (degraded answer not a subset of the reference),
-        #: 'cache' (warm rerun missed the plan cache or diverged),
-        #: 'error' (a configuration raised), or 'atomic' (crash-injected
-        #: DML left a partitioned view torn, readable while in doubt,
-        #: or unresolved after recovery — see testcheck/atomic.py)
-        self.kind = kind
-        self.config = config
-        self.detail = detail
-        self.sql_by_config = sql_by_config
-        self.explain_by_config = explain_by_config
-        self.reference_rows = reference_rows
-        self.actual_rows = actual_rows
-        #: per-config network attribution (retries, backoff, breaker
-        #: trips/fast-fails per server) — whether a config was retrying
-        #: or fast-failing is often the whole story of a mismatch
-        self.network_by_config = network_by_config or {}
-        #: the traced configuration's span tree (QueryTrace.as_dict()),
-        #: when that configuration got far enough to produce one — CI
-        #: writes it next to the mismatch report as a trace artifact
-        self.trace_payload = trace_payload
-        #: the ``cached`` configuration's plan-cache evidence — the
-        #: cache key plus the cold/warm hit-miss statuses — so a cache
-        #: bug report pins down exactly which entry went wrong
-        self.cache_info = cache_info or {}
+    case_id: str
+    #: 'rows' (multiset differs), 'order' (ORDER BY violated),
+    #: 'partial' (degraded answer not a subset of the reference),
+    #: 'cache' (a warm rerun missed the plan cache or diverged),
+    #: 'error' (a configuration raised), 'leak' (a world was not
+    #: quiesce-clean after the case), or 'atomic' (crash-injected
+    #: DML left a partitioned view torn, readable while in doubt,
+    #: or unresolved after recovery — see testcheck/atomic.py)
+    kind: str
+    config: str
+    detail: str
+    sql_by_config: dict[str, str]
+    explain_by_config: dict[str, str]
+    reference_rows: list[tuple]
+    actual_rows: list[tuple]
+    #: per-config network attribution (retries, backoff, breaker
+    #: trips/fast-fails per server) — whether a config was retrying
+    #: or fast-failing is often the whole story of a mismatch
+    network_by_config: dict[str, dict] = field(default_factory=dict)
+    #: the span tree (QueryTrace.as_dict()) of the first leg that
+    #: recorded one — CI writes it next to the mismatch report as a
+    #: trace artifact
+    trace_payload: Optional[dict] = None
+    #: per multi-leg config, plan-cache evidence — the cache key plus
+    #: the cold/warm hit-miss statuses — so a cache bug report pins
+    #: down exactly which entry went wrong
+    cache_info: dict[str, dict] = field(default_factory=dict)
 
     def describe(self) -> str:
         lines = [
@@ -444,8 +572,8 @@ class Mismatch:
                     lines.append(
                         f"-- network [{config}/{server}] -- {interesting}"
                     )
-        if self.cache_info:
-            lines.append(f"-- plan cache [cached] -- {self.cache_info}")
+        for config, info in self.cache_info.items():
+            lines.append(f"-- plan cache [{config}] -- {info}")
         for config, plan in self.explain_by_config.items():
             lines.append(f"-- EXPLAIN [{config}] --")
             lines.extend(f"  {line}" for line in plan.splitlines())
@@ -455,12 +583,12 @@ class Mismatch:
         return f"Mismatch({self.case_id}, {self.kind}, {self.config})"
 
 
+@dataclass
 class DiffReport:
     """Outcome of one differential run."""
 
-    def __init__(self) -> None:
-        self.cases_run = 0
-        self.mismatches: list[Mismatch] = []
+    cases_run: int = 0
+    mismatches: list[Mismatch] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -495,250 +623,168 @@ def parse_case_id(text: str) -> tuple[int, int]:
     return int(schema_seed), int(query_index or 0)
 
 
+@dataclass
 class DifferentialRunner:
-    """Seeded fuzz driver: schemas -> queries -> oracle matrix."""
+    """Seeded fuzz runner: schemas -> cases -> oracle table."""
 
-    def __init__(
-        self,
-        seed: int,
-        queries_per_schema: int = QUERIES_PER_SCHEMA,
-        collect_explains: bool = True,
-    ):
-        self.seed = seed
-        self.queries_per_schema = queries_per_schema
-        self.collect_explains = collect_explains
+    seed: int
+    queries_per_schema: int = QUERIES_PER_SCHEMA
+    collect_explains: bool = True
 
     # -- single case -------------------------------------------------------
     def check_case(
-        self,
-        worlds: dict[str, OracleWorld],
-        query: GeneratedQuery,
-        cid: str,
-        partial_world: Optional[OracleWorld] = None,
+        self, worlds: Worlds, case, cid: str
     ) -> Optional[Mismatch]:
-        sql_by_config = {
-            name: query.render(world.name_map)
-            for name, world in worlds.items()
-        }
-        if partial_world is not None:
-            sql_by_config["partial"] = query.render(partial_world.name_map)
-
-        def explains() -> dict[str, str]:
-            if not self.collect_explains:
-                return {}
-            return {
-                name: world.explain(query)
-                for name, world in worlds.items()
-            }
-
-        results: dict[str, QueryResult] = {}
-
-        def networks() -> dict[str, dict]:
-            return {
-                name: result.network
-                for name, result in results.items()
-                if result.network
-            }
-
-        def traced_trace() -> Optional[dict]:
-            result = results.get("traced")
-            if result is not None and result.trace is not None:
-                return result.trace.as_dict()
-            return None
-
-        def cache_info() -> dict:
-            """Plan-cache evidence from the ``cached`` configuration's
-            runs so far: the cache key plus each run's hit/miss flag."""
-            info: dict = {}
-            cold = results.get("cached")
-            if cold is not None:
-                info["cache_key"] = cold.plan_cache_key
-                info["cold"] = cold.plan_cache_status
-            warm = results.get("cached-warm")
-            if warm is not None:
-                info["warm"] = warm.plan_cache_status
-            return info
-
-        for name, world in worlds.items():
-            if name == "faulted":
-                # per-case deterministic fault stream, independent of
-                # whatever ran before (so --repro replays exactly)
-                for channel in world.channels.values():
-                    if channel.fault_injector is not None:
-                        channel.fault_injector.reset(
-                            seed=_stable_hash(f"{cid}/{channel.name}")
-                        )
-            try:
-                results[name] = world.run(query)
-            except Exception:
-                return Mismatch(
-                    cid, "error", name,
-                    f"configuration raised:\n{traceback.format_exc()}",
-                    sql_by_config, explains(),
-                    results.get("local").rows if "local" in results else [],
-                    [],
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                )
-
-        reference = results["local"]
-        for name in CONFIGS[1:]:
-            actual = results[name]
-            if not rowsets_equal(reference.rows, actual.rows):
-                return Mismatch(
-                    cid, "rows", name,
-                    f"result multiset differs from the all-local "
-                    f"reference ({len(reference.rows)} vs "
-                    f"{len(actual.rows)} rows)",
-                    sql_by_config, explains(),
-                    reference.rows, actual.rows,
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                    cache_info=cache_info(),
-                )
-        if query.order_keys:
-            for name, result in results.items():
-                if not is_sorted_by(result.rows, query.order_keys):
-                    return Mismatch(
-                        cid, "order", name,
-                        f"rows violate ORDER BY keys "
-                        f"{query.order_keys}",
-                        sql_by_config, explains(),
-                        reference.rows, result.rows,
-                        network_by_config=networks(),
-                    trace_payload=traced_trace(),
+        """Run ``case`` under every row that applies to it, in table
+        order — the first such row's first leg is the reference — then
+        require every world built so far to be quiesce-clean."""
+        rows = [row for row in ORACLES if row.applies(worlds.schema, case)]
+        ran: dict[str, list] = {}
+        reference = config = None
+        try:
+            for row in rows:
+                config, world = row.name, worlds[row.name]
+                row.before_case(world, case, cid)
+                legs = ran[config] = []
+                for leg in range(row.legs):
+                    try:
+                        legs.append(world.run(case))
+                    except Exception as error:
+                        legs.append(error)
+                    if reference is None:
+                        reference = legs[0]
+                    _check_leg(row, world, case, reference, legs[-1], leg)
+            for config, world in worlds.items():
+                leaks = _leaks(world)
+                if leaks:
+                    raise Failure(
+                        "leak",
+                        "not quiesce-clean after the case: "
+                        + "; ".join(leaks),
                     )
-        if "cached" in worlds:
-            # the plan-cache oracle's second leg: the same SQL through
-            # the same engine again must (a) hit the shared plan cache
-            # and (b) return the reference answer from the cached plan
-            try:
-                results["cached-warm"] = worlds["cached"].run(query)
-            except Exception:
-                return Mismatch(
-                    cid, "cache", "cached",
-                    f"warm rerun through the plan cache raised:\n"
-                    f"{traceback.format_exc()}",
-                    sql_by_config, explains(),
-                    reference.rows, [],
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                    cache_info=cache_info(),
-                )
-            warm = results["cached-warm"]
-            if warm.plan_cache_status != "hit":
-                return Mismatch(
-                    cid, "cache", "cached",
-                    f"warm rerun did not hit the plan cache "
-                    f"(status={warm.plan_cache_status!r})",
-                    sql_by_config, explains(),
-                    reference.rows, warm.rows,
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                    cache_info=cache_info(),
-                )
-            if not rowsets_equal(reference.rows, warm.rows):
-                return Mismatch(
-                    cid, "cache", "cached",
-                    f"cache-hit answer differs from the all-local "
-                    f"reference ({len(reference.rows)} vs "
-                    f"{len(warm.rows)} rows)",
-                    sql_by_config, explains(),
-                    reference.rows, warm.rows,
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                    cache_info=cache_info(),
-                )
-            if query.order_keys and not is_sorted_by(
-                warm.rows, query.order_keys
-            ):
-                return Mismatch(
-                    cid, "cache", "cached",
-                    f"cache-hit rows violate ORDER BY keys "
-                    f"{query.order_keys}",
-                    sql_by_config, explains(),
-                    reference.rows, warm.rows,
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                    cache_info=cache_info(),
-                )
-        if partial_world is not None:
-            try:
-                results["partial"] = partial_world.run(query)
-            except Exception:
-                return Mismatch(
-                    cid, "partial", "partial",
-                    f"partial-results configuration raised instead of "
-                    f"degrading:\n{traceback.format_exc()}",
-                    sql_by_config, explains(),
-                    reference.rows, [],
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                )
-            degraded = results["partial"]
-            if not is_sub_multiset(degraded.rows, reference.rows):
-                return Mismatch(
-                    cid, "partial", "partial",
-                    f"degraded answer is not a sub-multiset of the "
-                    f"all-local reference ({len(degraded.rows)} vs "
-                    f"{len(reference.rows)} rows)",
-                    sql_by_config, explains(),
-                    reference.rows, degraded.rows,
-                    network_by_config=networks(),
-                    trace_payload=traced_trace(),
-                )
+        except Failure as failure:
+            return self._mismatch(
+                [worlds[row.name] for row in rows], case, cid, ran,
+                reference, config, failure,
+            )
         return None
 
-    def run_case(self, schema_seed: int, query_index: int) -> Optional[Mismatch]:
-        """Build the oracle worlds for one schema and run one query —
-        the ``--repro`` path."""
-        schema = generate_schema(schema_seed)
-        worlds = build_worlds(schema, fault_seed=schema_seed)
-        partial_world, down_host = build_partial_world(
-            schema, fault_seed=schema_seed
-        )
-        query = generate_query(
-            schema, schema_seed * 10_000 + query_index
-        )
-        if partial_world is not None and not eligible_for_partial(
-            schema, query, down_host
-        ):
-            partial_world = None
-        return self.check_case(
-            worlds, query, case_id(schema_seed, query_index),
-            partial_world=partial_world,
+    def _mismatch(self, applied, case, cid, ran, reference, config,
+                  failure: Failure) -> Mismatch:
+        """The one report builder: SQL and EXPLAIN of every world the
+        case applies to, plus the network counters, span tree and
+        plan-cache evidence of every leg that ran."""
+        finished = {
+            name: [leg for leg in legs if isinstance(leg, QueryResult)]
+            for name, legs in ran.items()
+        }
+        traces = [
+            leg.trace.as_dict()
+            for legs in finished.values() for leg in legs
+            if leg.trace is not None
+        ]
+        return Mismatch(
+            cid, failure.kind, config, failure.detail,
+            {world.name: case.render(world.name_map) for world in applied},
+            {world.name: world.explain(case) for world in applied}
+            if self.collect_explains else {},
+            getattr(reference, "rows", [])
+            if failure.reference_rows is None else failure.reference_rows,
+            failure.actual_rows,
+            {
+                name: legs[0].network
+                for name, legs in finished.items()
+                if legs and legs[0].network
+            },
+            traces[0] if traces else None,
+            {
+                name: {
+                    "cache_key": legs[0].plan_cache_key,
+                    "cold": legs[0].plan_cache_status,
+                    "warm": [leg.plan_cache_status for leg in legs[1:]],
+                }
+                for name, legs in finished.items() if len(legs) > 1
+            },
         )
 
-    # -- batch -------------------------------------------------------------
-    def run(self, n_queries: int, progress=None) -> DiffReport:
-        report = DiffReport()
-        remaining = n_queries
-        schema_index = 0
-        while remaining > 0:
-            schema_seed = self.seed + schema_index
-            schema = generate_schema(schema_seed)
-            worlds = build_worlds(schema, fault_seed=schema_seed)
-            partial_world, down_host = build_partial_world(
-                schema, fault_seed=schema_seed
+    # -- one schema ----------------------------------------------------------
+    def _check_schema(self, report: DiffReport, cases: Cases,
+                      schema_seed: int, indices) -> None:
+        """The one per-schema setup behind every entry point: worlds
+        are built on first use, cases drawn in order, and ``indices``
+        of them checked.  A battery stops at its first mismatch — its
+        later cases would build on a state already wrong."""
+        worlds = Worlds(generate_schema(schema_seed))
+        draw = zip(range(max(indices) + 1), cases.draw(worlds.schema))
+        for index, case in draw:
+            if index not in indices:
+                continue
+            mismatch = self.check_case(
+                worlds, case, cases.prefix + case_id(schema_seed, index)
             )
-            batch = min(remaining, self.queries_per_schema)
-            for query_index in range(batch):
-                query = generate_query(
-                    schema, schema_seed * 10_000 + query_index
-                )
-                cid = case_id(schema_seed, query_index)
-                eligible = partial_world is not None and eligible_for_partial(
-                    schema, query, down_host
-                )
-                mismatch = self.check_case(
-                    worlds, query, cid,
-                    partial_world=partial_world if eligible else None,
-                )
-                report.cases_run += 1
-                if mismatch is not None:
-                    report.mismatches.append(mismatch)
+            report.cases_run += 1
+            if mismatch is not None:
+                report.mismatches.append(mismatch)
+                if cases.battery:
+                    break
+
+    def replay(self, cid: str) -> DiffReport:
+        """The ``--repro`` path: rebuild the case's schema and rerun the
+        case (or, for a battery, the whole battery it belongs to)."""
+        cases = next(c for c in STREAMS if cid.startswith(c.prefix))
+        schema_seed, index = parse_case_id(cid[len(cases.prefix):])
+        report = DiffReport()
+        indices = range(cases.battery) if cases.battery else (index,)
+        self._check_schema(report, cases, schema_seed, indices)
+        return report
+
+    def run_case(self, schema_seed: int, query_index: int) -> Optional[Mismatch]:
+        """One SELECT case's replay, as its mismatch (None = clean)."""
+        report = self.replay(case_id(schema_seed, query_index))
+        return report.mismatches[0] if report.mismatches else None
+
+    # -- batch -------------------------------------------------------------
+    def run(self, n_queries: int, progress=None,
+            cases: Cases = SELECTS) -> DiffReport:
+        report = DiffReport()
+        per_schema = cases.battery or self.queries_per_schema
+        for start in range(0, n_queries, per_schema):
+            schema_seed = self.seed + start // per_schema
+            batch = range(min(per_schema, n_queries - start))
+            self._check_schema(report, cases, schema_seed, batch)
             if progress is not None:
                 progress(schema_seed, report)
-            remaining -= batch
-            schema_index += 1
         return report
+
+
+# the atomic oracle's pieces build on the helpers above
+from repro.testcheck.atomic import (  # noqa: E402
+    STATEMENTS,
+    arm_crash,
+    atomic,
+    is_statement,
+    with_shadow,
+)
+
+#: the oracle table, in run order; the first row that applies to a
+#: case is its reference
+ORACLES: tuple[Oracle, ...] = (
+    Oracle("local", federated=False),
+    Oracle("distributed"),
+    Oracle("ablated", configure=_ablate),
+    Oracle("faulted", configure=_inject_faults, before_case=_reseed_faults),
+    Oracle("traced", configure=_observe),
+    Oracle("parallel", configure=_parallelize),
+    Oracle("cached", legs=2),
+    Oracle("governed", configure=_govern),
+    Oracle("partial", configure=_take_member_down, compare=sub_multiset,
+           applies=_degradable),
+    Oracle("atomic", configure=with_shadow, compare=atomic,
+           applies=is_statement, before_case=arm_crash),
+)
+
+#: row names, in the order they run
+CONFIGS = tuple(row.name for row in ORACLES)
+
+#: every case family, matched against a case id's prefix in this order
+STREAMS = (STATEMENTS, SELECTS)

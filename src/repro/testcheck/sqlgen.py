@@ -64,6 +64,9 @@ class GeneratedQuery:
         """SQL text with table names resolved for one topology."""
         return render_select(self.stmt, name_map)
 
+    #: the statement a mismatch report EXPLAINs: the query itself
+    explained = render
+
     def __repr__(self) -> str:
         return f"GeneratedQuery(seed={self.seed}, tables={self.tables})"
 

@@ -194,6 +194,30 @@ class TestRemotePlans:
             assert plan_ops(result.plan, P.Spool)
 
 
+    def test_decoder_crash_during_predicate_split_propagates(
+        self, remote_pair, monkeypatch
+    ):
+        """Only a DecoderError means "keep this conjunct local"; any
+        other decoder exception is a bug and must not be masked as a
+        worse plan with a right answer."""
+        from repro.core.decoder import Decoder
+
+        local, __, ___ = remote_pair
+        original, calls = Decoder._expr, []
+
+        def first_call_breaks(self, expr, column_sql):
+            calls.append(expr)
+            if len(calls) == 1:  # the predicate-split probe
+                raise KeyError("decoder bug")
+            return original(self, expr, column_sql)
+
+        monkeypatch.setattr(Decoder, "_expr", first_call_breaks)
+        with pytest.raises(KeyError, match="decoder bug"):
+            local.execute(
+                "SELECT item_id FROM remote0.master.dbo.items WHERE price > 2"
+            )
+
+
 class TestSearchTelemetry:
     def test_memo_counters(self, engine):
         result = engine.plan("SELECT v FROM t WHERE grp = 3")

@@ -491,16 +491,11 @@ class TestPartialOracle:
         assert down is not None
         query = generate_query(schema, 49 * 10_000 + 2)
         assert oracle.eligible_for_partial(schema, query, down)
-        worlds_by_config = oracle.build_worlds(schema, fault_seed=49)
-        partial_world, down = oracle.build_partial_world(
-            schema, fault_seed=49
-        )
+        worlds_by_config = oracle.Worlds(schema)
         runner = oracle.DifferentialRunner(seed=49, collect_explains=False)
-        mismatch = runner.check_case(
-            worlds_by_config, query, "49:2", partial_world=partial_world
-        )
+        mismatch = runner.check_case(worlds_by_config, query, "49:2")
         assert mismatch is None
         reference = worlds_by_config["local"].run(query)
-        degraded = partial_world.run(query)
+        degraded = worlds_by_config["partial"].run(query)
         assert len(degraded.rows) < len(reference.rows)
         assert oracle.is_sub_multiset(degraded.rows, reference.rows)

@@ -12,10 +12,16 @@ import datetime as dt
 import pytest
 
 from repro.core.decoder import Decoder
+from repro.governor.grants import MemoryGrant
+from repro.testcheck import atomic, oracle
 from repro.testcheck.oracle import (
     CONFIGS,
+    ORACLES,
+    STATEMENTS,
     DifferentialRunner,
-    build_worlds,
+    Oracle,
+    OracleWorld,
+    Worlds,
     canonical_rows,
     case_id,
     is_sorted_by,
@@ -70,11 +76,13 @@ class TestGenerator:
         # 30 queries over one schema must compile and execute in every
         # configuration without a single binder/decoder error
         schema = generate_schema(11)
-        worlds = build_worlds(schema, fault_seed=11)
+        worlds = Worlds(schema)
         for i in range(30):
             query = generate_query(schema, 11 * 10_000 + i)
-            for world in worlds.values():
-                world.run(query)  # raises on any bind/exec failure
+            for row in ORACLES:
+                if row.applies(schema, query):
+                    # raises on any bind/exec failure
+                    worlds[row.name].run(query)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +175,7 @@ class TestHarnessCatchesInjectedBug:
         the queries a dropped-predicate bug would silently corrupt."""
         for schema_seed in range(100, 100 + max_schemas):
             schema = generate_schema(schema_seed)
-            worlds = build_worlds(schema, fault_seed=schema_seed)
+            worlds = Worlds(schema)
             for i in range(10):
                 query = generate_query(schema, schema_seed * 10_000 + i)
                 plan = worlds["distributed"].explain(query)
@@ -212,7 +220,7 @@ class TestHarnessCatchesInjectedBug:
         import repro.execution.aggregates as aggregates
 
         schema = generate_schema(3)
-        worlds = build_worlds(schema, fault_seed=3)
+        worlds = Worlds(schema)
         runner = DifferentialRunner(seed=3)
         target = None
         for i in range(30):
@@ -227,3 +235,106 @@ class TestHarnessCatchesInjectedBug:
         local_rows = worlds["local"].run(target[0]).rows
         distributed_rows = worlds["distributed"].run(target[0]).rows
         assert rowsets_equal(local_rows, distributed_rows)
+
+
+# ----------------------------------------------------------------------
+# the oracle table: every row runs through the one loop
+# ----------------------------------------------------------------------
+class TestOracleTable:
+    def test_config_names_come_from_the_table(self):
+        assert CONFIGS == tuple(row.name for row in ORACLES)
+        assert CONFIGS == (
+            "local", "distributed", "ablated", "faulted", "traced",
+            "parallel", "cached", "governed", "partial", "atomic",
+        )
+
+    def test_appended_row_runs_in_batch_and_repro_paths(self, monkeypatch):
+        seen = []
+
+        def record(world, case, reference, outcome):
+            seen.append((world.name, case.seed))
+            oracle.equal(world, case, reference, outcome)
+
+        monkeypatch.setattr(
+            oracle, "ORACLES", ORACLES + (Oracle("probe", compare=record),)
+        )
+        runner = DifferentialRunner(seed=42, collect_explains=False)
+        assert runner.run(3).ok
+        assert [name for name, __ in seen] == ["probe"] * 3
+        seen.clear()
+        assert runner.run_case(42, 1) is None
+        assert seen == [("probe", 42 * 10_000 + 1)]
+
+    def test_partial_leg_is_order_checked(self, monkeypatch):
+        # case 49:2 is `SELECT t0.val FROM pv t0 WHERE (t0.val <> 0)
+        # ORDER BY 1`, which degrades under the partial row: reversing
+        # that row's answer keeps it a sub-multiset but breaks ORDER BY
+        original = OracleWorld.run
+
+        def reversed_partial(self, case):
+            result = original(self, case)
+            if self.name == "partial":
+                result.rows = result.rows[::-1]
+            return result
+
+        monkeypatch.setattr(OracleWorld, "run", reversed_partial)
+        mismatch = DifferentialRunner(seed=49).run_case(49, 2)
+        assert mismatch is not None
+        assert (mismatch.kind, mismatch.config) == ("order", "partial")
+        report = mismatch.describe()
+        assert "ORDER BY 1" in report
+        assert "-- EXPLAIN [partial] --" in report
+
+    def test_leaked_grant_is_reported(self, monkeypatch):
+        original = MemoryGrant.release
+
+        def leaky(self):
+            if self.group_name != "constrained":  # the governed world's
+                original(self)
+
+        monkeypatch.setattr(MemoryGrant, "release", leaky)
+        report = DifferentialRunner(seed=42, collect_explains=False).run(10)
+        assert not report.ok
+        first = report.mismatches[0]
+        assert (first.kind, first.config) == ("leak", "governed")
+        assert "MemoryGrant" in first.detail
+
+
+# ----------------------------------------------------------------------
+# the atomic row: crash-injected DML through the same plumbing
+# ----------------------------------------------------------------------
+class TestAtomicRow:
+    def test_battery_is_clean(self):
+        report = DifferentialRunner(seed=1).run(
+            2 * STATEMENTS.battery, cases=STATEMENTS
+        )
+        assert report.cases_run == 16
+        assert report.ok, report.describe()
+
+    def test_repro_path_matches_batch_path(self, monkeypatch):
+        seen = []
+        original = DifferentialRunner.check_case
+
+        def recording(self, worlds, case, cid):
+            seen.append((cid, case.sql))
+            return original(self, worlds, case, cid)
+
+        monkeypatch.setattr(DifferentialRunner, "check_case", recording)
+        runner = DifferentialRunner(seed=1)
+        batch = runner.run(STATEMENTS.battery, cases=STATEMENTS)
+        batch_seen, seen[:] = list(seen), []
+        replay = runner.replay("a1:3")
+        assert batch.ok and replay.ok
+        # the replay reruns the whole battery and counts what it ran
+        assert replay.cases_run == batch.cases_run == STATEMENTS.battery
+        assert seen == batch_seen
+        assert [cid for cid, __ in seen] == [f"a1:{i}" for i in range(8)]
+
+    def test_divergence_is_attributed_to_the_atomic_row(self, monkeypatch):
+        monkeypatch.setattr(atomic, "rowsets_equal", lambda a, b: False)
+        report = DifferentialRunner(seed=1).replay("a1:5")
+        # a battery stops at its first mismatch
+        assert report.cases_run == 1
+        (mismatch,) = report.mismatches
+        assert (mismatch.kind, mismatch.config) == ("atomic", "atomic")
+        assert "--repro a1:0" in mismatch.describe()

@@ -97,7 +97,7 @@ def check_testing_doc() -> list[str]:
     # the oracle matrix: every configuration must be documented
     for config in ("`local`", "`distributed`", "`ablated`", "`faulted`",
                    "`traced`", "`parallel`", "`cached`", "`governed`",
-                   "`atomic`"):
+                   "`partial`", "`atomic`"):
         if config not in text:
             problems.append(
                 f"docs/TESTING.md: oracle matrix missing {config}"

@@ -2,11 +2,13 @@
 """Differential query-correctness fuzzer CLI.
 
 Runs the multi-oracle harness over seeded random federated workloads:
-every generated query executes under the all-local reference, the full
-distributed optimizer, the remote-rules-ablated optimizer, a
-fault-injected configuration with retries, and a fully-traced
-configuration (hierarchical spans + Query Store on) — and all five
-must agree.  On mismatches, the traced configuration's span tree is
+every generated query executes under each row of the oracle table
+(``repro.testcheck.oracle.ORACLES``) that applies to it — the all-local
+reference, the full distributed optimizer, the remote-rules-ablated
+optimizer, fault injection with retries, tracing, parallel exchanges,
+a plan-cache replay, a constrained workload group, and a degraded
+partitioned view — and every answer must hold its row's comparator
+against the reference.  On mismatches, the first recorded span tree is
 written alongside the report (raw JSON + rendered), so the failure
 artifact carries the distributed execution timeline.
 
@@ -18,10 +20,10 @@ Usage::
     python tools/diffcheck.py --seed 42 --n 50 --out d/ # write failure reports
     python tools/diffcheck.py --atomic 8                # 2PC crash fuzz
 
-``--atomic N`` runs the eighth oracle: N seeds of crash-injected DML
-through the distributed partitioned view (a random 2PC protocol-step
+``--atomic N`` runs the table's ``atomic`` row: N seeds of crash-injected
+DML through the distributed partitioned view (a random 2PC protocol-step
 crash per statement, then in-doubt recovery), requiring every member to
-stay all-or-nothing against the single-engine reference.  Atomic case
+stay all-or-nothing against a single-engine shadow.  Atomic case
 ids are namespaced ``a<seed>:<index>``; ``--repro a<seed>:<i>`` replays
 that seed's battery.
 
@@ -44,14 +46,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import tracereport  # noqa: E402
 
-from repro.testcheck.atomic import (  # noqa: E402
-    run_atomic_battery,
-    run_atomic_seeds,
-)
 from repro.testcheck.oracle import (  # noqa: E402
+    SELECTS,
+    STATEMENTS,
     DiffReport,
     DifferentialRunner,
-    parse_case_id,
 )
 
 
@@ -59,29 +58,20 @@ def _write_reports(out_dir: Path, report: DiffReport) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, mismatch in enumerate(report.mismatches):
         name = mismatch.case_id.replace(":", "_")
-        path = out_dir / f"mismatch_{i:03d}_case_{name}.txt"
-        path.write_text(mismatch.describe() + "\n", encoding="utf-8")
-        print(f"diffcheck: wrote {path}", file=sys.stderr)
+        files = {".txt": mismatch.describe()}
         if mismatch.trace_payload is not None:
-            # the traced configuration's span tree, as both raw JSON and
-            # a rendered report — CI uploads these as artifacts
-            trace_path = out_dir / f"mismatch_{i:03d}_case_{name}_trace.json"
-            trace_path.write_text(
-                json.dumps(mismatch.trace_payload, indent=2, default=str)
-                + "\n",
-                encoding="utf-8",
+            # the recorded span tree, as both raw JSON and a rendered
+            # report — CI uploads these as artifacts
+            files["_trace.json"] = json.dumps(
+                mismatch.trace_payload, indent=2, default=str
             )
-            rendered = tracereport.render_span_tree(
+            files["_spans.txt"] = "\n".join(tracereport.render_span_tree(
                 mismatch.trace_payload, include_events=True
-            )
-            spans_path = out_dir / f"mismatch_{i:03d}_case_{name}_spans.txt"
-            spans_path.write_text(
-                "\n".join(rendered) + "\n", encoding="utf-8"
-            )
-            print(
-                f"diffcheck: wrote {trace_path} and {spans_path}",
-                file=sys.stderr,
-            )
+            ))
+        for suffix, text in files.items():
+            path = out_dir / f"mismatch_{i:03d}_case_{name}{suffix}"
+            path.write_text(text + "\n", encoding="utf-8")
+            print(f"diffcheck: wrote {path}", file=sys.stderr)
 
 
 def main() -> int:
@@ -103,45 +93,25 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.perf_counter()
-    report = DiffReport()
-    if args.repro is not None and args.repro.startswith("a"):
-        # atomic case: replay the whole battery for that seed (crash
-        # effects accumulate statement to statement, so the battery is
-        # the unit of reproduction)
-        schema_seed, __ = parse_case_id(args.repro[1:])
-        found = run_atomic_battery(schema_seed)
-        report.cases_run = 1
-        report.mismatches.extend(found)
-    elif args.repro is not None:
-        schema_seed, query_index = parse_case_id(args.repro)
-        runner = DifferentialRunner(seed=schema_seed)
-        mismatch = runner.run_case(schema_seed, query_index)
-        report.cases_run = 1
-        if mismatch is not None:
-            report.mismatches.append(mismatch)
-    elif args.atomic > 0:
-        seeds = range(args.seed, args.seed + args.atomic)
-        report = run_atomic_seeds(seeds)
+    runner = DifferentialRunner(seed=args.seed)
+    cases, n = (
+        (STATEMENTS, args.atomic * STATEMENTS.battery) if args.atomic > 0
+        else (SELECTS, args.n)
+    )
+
+    def progress(schema_seed: int, partial: DiffReport) -> None:
         if not args.quiet:
             print(
-                f"diffcheck: atomic oracle over seeds "
-                f"{seeds.start}..{seeds.stop - 1} — "
-                f"{report.cases_run} crash-injected statements",
+                f"diffcheck: schema seed {schema_seed} done — "
+                f"{partial.cases_run}/{n} cases, "
+                f"{len(partial.mismatches)} mismatch(es)",
                 file=sys.stderr,
             )
+
+    if args.repro is not None:
+        report = runner.replay(args.repro)
     else:
-        runner = DifferentialRunner(seed=args.seed)
-
-        def progress(schema_seed: int, partial: DiffReport) -> None:
-            if not args.quiet:
-                print(
-                    f"diffcheck: schema seed {schema_seed} done — "
-                    f"{partial.cases_run}/{args.n} cases, "
-                    f"{len(partial.mismatches)} mismatch(es)",
-                    file=sys.stderr,
-                )
-
-        report = runner.run(args.n, progress=progress)
+        report = runner.run(n, progress=progress, cases=cases)
 
     elapsed = time.perf_counter() - started
     if report.ok:
