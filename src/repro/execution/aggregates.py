@@ -1,4 +1,11 @@
-"""Aggregation operators."""
+"""Aggregation operators.
+
+Each aggregate call gets an accumulator that keeps only its own
+function's state: COUNT counts, SUM and AVG keep a running total, MIN
+and MAX keep the best value so far and make one comparison per row
+(:func:`~repro.types.intervals.sql_precedes`).  DISTINCT is a filter in
+front of any of them.
+"""
 
 from __future__ import annotations
 
@@ -7,69 +14,135 @@ from typing import Any, Dict, Iterator, Optional
 from repro.algebra.expressions import AggregateCall
 from repro.core import physical as P
 from repro.execution.context import ExecutionContext
-from repro.types.values import collation_key
+from repro.types.intervals import sql_precedes
+from repro.types.values import collation_key, equality_key
 
 Row = tuple
 
 
-class _Accumulator:
-    """One aggregate's running state."""
+class _CountRows:
+    """COUNT(*): every row."""
 
-    __slots__ = ("call", "count", "total", "minimum", "maximum", "distinct")
+    __slots__ = ("count",)
 
-    def __init__(self, call: AggregateCall):
-        self.call = call
+    def __init__(self) -> None:
         self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.distinct: Optional[set] = set() if call.distinct else None
 
     def add(self, value: Any) -> None:
-        if self.call.argument is None:  # COUNT(*)
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct is not None:
-            folded = collation_key(value)
-            if folded in self.distinct:
-                return
-            self.distinct.add(folded)
         self.count += 1
-        if self.total is None:
-            self.total = value
-        else:
-            try:
-                self.total = self.total + value
-            except TypeError:
-                pass
-        if self.minimum is None or _lt(value, self.minimum):
-            self.minimum = value
-        if self.maximum is None or _lt(self.maximum, value):
-            self.maximum = value
 
     def result(self) -> Any:
-        func = self.call.func
-        if func == "count":
-            return self.count
-        if self.count == 0:
-            return None
-        if func == "sum":
-            return self.total
-        if func == "avg":
-            return self.total / self.count
-        if func == "min":
-            return self.minimum
-        if func == "max":
-            return self.maximum
-        raise AssertionError(func)
+        return self.count
 
 
-def _lt(a: Any, b: Any) -> bool:
-    from repro.types.intervals import SortKey
+class _Count(_CountRows):
+    """COUNT(expr): non-NULL values."""
 
-    return SortKey(a) < SortKey(b)
+    __slots__ = ()
+
+    def add(self, value: Any) -> None:
+        if value is not None:
+            self.count += 1
+
+
+class _Sum:
+    """SUM: a running total; a value that will not add is counted but
+    leaves the total alone."""
+
+    __slots__ = ("count", "total")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total: Any = None
+
+    def add(self, value: Any) -> None:
+        if value is None:
+            return
+        self.count += 1
+        if self.count == 1:
+            self.total = value
+            return
+        try:
+            self.total = self.total + value
+        except TypeError:
+            pass
+
+    def result(self) -> Any:
+        return self.total
+
+
+class _Avg(_Sum):
+    __slots__ = ()
+
+    def result(self) -> Any:
+        return None if self.count == 0 else self.total / self.count
+
+
+class _Min:
+    """MIN: the first value no later value sorts before."""
+
+    __slots__ = ("best",)
+
+    def __init__(self) -> None:
+        self.best: Any = None
+
+    def add(self, value: Any) -> None:
+        if value is not None and (
+            self.best is None or sql_precedes(value, self.best)
+        ):
+            self.best = value
+
+    def result(self) -> Any:
+        return self.best
+
+
+class _Max(_Min):
+    __slots__ = ()
+
+    def add(self, value: Any) -> None:
+        if value is not None and (
+            self.best is None or sql_precedes(self.best, value)
+        ):
+            self.best = value
+
+
+class _Distinct:
+    """DISTINCT in front of an accumulator: each collation-folded value
+    reaches it once."""
+
+    __slots__ = ("inner", "seen")
+
+    def __init__(self, inner: Any) -> None:
+        self.inner = inner
+        self.seen: set = set()
+
+    def add(self, value: Any) -> None:
+        if value is None:
+            return
+        folded = collation_key(value)
+        if folded not in self.seen:
+            self.seen.add(folded)
+            self.inner.add(value)
+
+    def result(self) -> Any:
+        return self.inner.result()
+
+
+_BY_FUNC = {
+    "count": _Count, "sum": _Sum, "avg": _Avg, "min": _Min, "max": _Max,
+}
+
+
+def accumulator_for(call: AggregateCall) -> Any:
+    """A fresh accumulator for one aggregate call over one group."""
+    if call.argument is None:  # COUNT(*)
+        return _CountRows()
+    accumulator = _BY_FUNC[call.func]()
+    return _Distinct(accumulator) if call.distinct else accumulator
+
+
+def _accumulators(plan) -> list:
+    return [accumulator_for(call) for call in plan.aggregates]
 
 
 def _group_key(values: tuple) -> tuple:
@@ -77,47 +150,44 @@ def _group_key(values: tuple) -> tuple:
     default collation's key, so ``GROUP BY``/``DISTINCT`` merge the
     same values ``=`` equates.  The first-seen raw tuple stays the
     group's representative."""
-    out = []
-    for value in values:
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        out.append(collation_key(value))
-    return tuple(out)
+    return tuple(map(equality_key, values))
 
 
-def run_hash_aggregate(
-    plan: P.HashAggregate, ctx: ExecutionContext
-) -> Iterator[Row]:
-    from repro.execution.executor import compile_expr, layout_of, open_plan
+def _opened(plan, ctx: ExecutionContext):
+    """What both aggregates fix at open: the group-key getter and the
+    compiled arguments."""
+    from repro.execution.executor import compile_expr, layout_of, tuple_getter
 
     child_layout = layout_of(plan.child)
-    key_ordinals = [child_layout[cid] for cid in plan.group_by]
+    raw_key_of = tuple_getter([child_layout[cid] for cid in plan.group_by])
     arg_fns = [
         compile_expr(call.argument, child_layout, ctx)
         if call.argument is not None
         else None
         for call in plan.aggregates
     ]
+    return raw_key_of, arg_fns
+
+
+def run_hash_aggregate(
+    plan: P.HashAggregate, ctx: ExecutionContext
+) -> Iterator[Row]:
+    from repro.execution.executor import open_plan
+
+    raw_key_of, arg_fns = _opened(plan, ctx)
     params = ctx.params
-    groups: Dict[tuple, tuple[tuple, list[_Accumulator]]] = {}
-    saw_rows = False
+    groups: Dict[tuple, tuple[tuple, list]] = {}
     for row in open_plan(plan.child, ctx):
-        saw_rows = True
-        raw_key = tuple(row[o] for o in key_ordinals)
+        raw_key = raw_key_of(row)
         key = _group_key(raw_key)
         entry = groups.get(key)
         if entry is None:
-            entry = (raw_key, [_Accumulator(c) for c in plan.aggregates])
-            groups[key] = entry
+            entry = groups[key] = (raw_key, _accumulators(plan))
         for accumulator, fn in zip(entry[1], arg_fns):
-            value = fn(row, params) if fn is not None else None
-            accumulator.add(value)
+            accumulator.add(fn(row, params) if fn is not None else None)
     if not groups and not plan.group_by:
         # scalar aggregate over empty input yields one row of defaults
-        empties = [_Accumulator(c) for c in plan.aggregates]
-        yield tuple(a.result() for a in empties)
+        yield tuple(a.result() for a in _accumulators(plan))
         return
     for raw_key, accumulators in groups.values():
         yield raw_key + tuple(a.result() for a in accumulators)
@@ -127,36 +197,25 @@ def run_stream_aggregate(
     plan: P.StreamAggregate, ctx: ExecutionContext
 ) -> Iterator[Row]:
     """Aggregation over group-key-sorted input."""
-    from repro.execution.executor import compile_expr, layout_of, open_plan
+    from repro.execution.executor import open_plan
 
-    child_layout = layout_of(plan.child)
-    key_ordinals = [child_layout[cid] for cid in plan.group_by]
-    arg_fns = [
-        compile_expr(call.argument, child_layout, ctx)
-        if call.argument is not None
-        else None
-        for call in plan.aggregates
-    ]
+    raw_key_of, arg_fns = _opened(plan, ctx)
     params = ctx.params
     current_key: Optional[tuple] = None
     current_raw: tuple = ()
-    accumulators: list[_Accumulator] = []
-    saw_rows = False
+    accumulators: list = []
     for row in open_plan(plan.child, ctx):
-        saw_rows = True
-        raw_key = tuple(row[o] for o in key_ordinals)
+        raw_key = raw_key_of(row)
         key = _group_key(raw_key)
         if current_key is None or key != current_key:
             if current_key is not None:
                 yield current_raw + tuple(a.result() for a in accumulators)
             current_key = key
             current_raw = raw_key
-            accumulators = [_Accumulator(c) for c in plan.aggregates]
+            accumulators = _accumulators(plan)
         for accumulator, fn in zip(accumulators, arg_fns):
-            value = fn(row, params) if fn is not None else None
-            accumulator.add(value)
+            accumulator.add(fn(row, params) if fn is not None else None)
     if current_key is not None:
         yield current_raw + tuple(a.result() for a in accumulators)
-    elif not plan.group_by and not saw_rows:
-        empties = [_Accumulator(c) for c in plan.aggregates]
-        yield tuple(a.result() for a in empties)
+    elif not plan.group_by:
+        yield tuple(a.result() for a in _accumulators(plan))

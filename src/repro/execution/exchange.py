@@ -11,9 +11,10 @@ when ``SET PARALLEL_DOP n`` (n > 1) is in effect:
   ALL has no order contract).
 * **GatherMerge** — each branch is produced already sorted on the
   exchange keys; a k-way heap merge over per-branch streams yields the
-  globally sorted output without a full blocking sort, using the same
-  collation-aware :class:`~repro.types.intervals.SortKey` comparisons
-  as ``PhysicalSort``.
+  globally sorted output without a full blocking sort, comparing with
+  :class:`~repro.types.intervals.SortKey` — the SQL order
+  ``PhysicalSort`` sorts in.  It streams, so unlike ``PhysicalSort`` it
+  never holds a column's values to choose a native key from.
 
 Both operators pipeline: rows flow to the consumer as soon as the
 first page of any branch arrives, and abandoning the iterator (TOP,

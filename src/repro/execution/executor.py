@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
-from repro.algebra.expressions import ColumnId, ScalarExpr
+from repro.algebra.expressions import ColumnId, ColumnRef, ScalarExpr
 from repro.core import physical as P
 from repro.errors import ExecutionError
 from repro.execution.context import ExecutionContext
@@ -27,7 +28,7 @@ from repro.execution.scans import (
     run_remote_scan,
     run_table_scan,
 )
-from repro.types.intervals import SortKey
+from repro.types.intervals import sql_sorted
 
 Row = tuple
 
@@ -43,6 +44,18 @@ def compile_expr(
     """Compile an expression against a layout, resolving subqueries."""
     resolved = ctx.resolve_scalar_subqueries(expr)
     return resolved.compile(plan_layout)
+
+
+def tuple_getter(ordinals: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[o] for o in ordinals)`` as one C call where it
+    can be: ``itemgetter`` returns a bare value for a single ordinal, so
+    that case (and the empty one) keeps the tuple shape itself."""
+    if len(ordinals) > 1:
+        return itemgetter(*ordinals)
+    if ordinals:
+        ordinal = ordinals[0]
+        return lambda row: (row[ordinal],)
+    return lambda row: ()
 
 
 def open_plan(plan: P.PhysicalOp, ctx: ExecutionContext) -> Iterator[Row]:
@@ -112,26 +125,36 @@ def _run_project(plan: P.ComputeProject, ctx: ExecutionContext) -> Iterator[Row]
     compiled = [
         compile_expr(expr, child_layout, ctx) for __, expr in plan.outputs
     ]
+    rows = open_plan(plan.child, ctx)
+    if all(type(expr) is ColumnRef for __, expr in plan.outputs):
+        # a column-only reshape (compiling above checked every column)
+        yield from map(
+            tuple_getter([child_layout[expr.cid] for __, expr in plan.outputs]),
+            rows,
+        )
+        return
     params = ctx.params
-    for row in open_plan(plan.child, ctx):
+    for row in rows:
         yield tuple(fn(row, params) for fn in compiled)
 
 
 def _run_sort(plan: P.PhysicalSort, ctx: ExecutionContext) -> Iterator[Row]:
+    # a generator, so the child opens and the sort runs on the first
+    # pull: inside this operator's span and profile, not its parent's
     child_layout = layout_of(plan.child)
     rows = list(open_plan(plan.child, ctx))
     # stable multi-key sort: apply keys last-to-first
     for key in reversed(plan.keys):
-        ordinal = child_layout[key.cid]
-        rows.sort(
-            key=lambda row: SortKey(row[ordinal]), reverse=not key.ascending
+        rows = sql_sorted(
+            rows, itemgetter(child_layout[key.cid]), reverse=not key.ascending
         )
-    return iter(rows)
+    yield from rows
 
 
 def _run_spool(plan: P.Spool, ctx: ExecutionContext) -> Iterator[Row]:
-    # stable key (not id(plan)) so a bounded replan after a mid-query
-    # failure can reuse rows already spooled from a now-down member
+    # a generator for the same reason as _run_sort.  Stable key (not
+    # id(plan)) so a bounded replan after a mid-query failure can reuse
+    # rows already spooled from a now-down member
     cache_key = plan.cache_key()
     with ctx.spool_lock:
         cached = ctx.spool_cache.get(cache_key)
@@ -144,7 +167,7 @@ def _run_spool(plan: P.Spool, ctx: ExecutionContext) -> Iterator[Row]:
             cached = ctx.spool_cache.setdefault(cache_key, rows)
     else:
         ctx.record_spool_rescan(plan)
-    return iter(cached)
+    yield from cached
 
 
 def _run_concat(plan: P.Concat, ctx: ExecutionContext) -> Iterator[Row]:
@@ -152,8 +175,11 @@ def _run_concat(plan: P.Concat, ctx: ExecutionContext) -> Iterator[Row]:
     for child, branch_map in zip(plan.children, plan.branch_maps):
         child_layout = layout_of(child)
         ordinals = [child_layout[branch_map[cid]] for cid in output_ids]
-        for row in open_plan(child, ctx):
-            yield tuple(row[o] for o in ordinals)
+        rows = open_plan(child, ctx)
+        if ordinals == list(range(len(child.output_ids()))):
+            yield from rows  # the branch already has the output's shape
+        else:
+            yield from map(tuple_getter(ordinals), rows)
 
 
 #: physical operator class -> runner(plan, ctx); looked up by exact

@@ -6,7 +6,8 @@ from typing import Any, Dict, Iterator, Optional
 
 from repro.core import physical as P
 from repro.execution.context import ExecutionContext
-from repro.types.intervals import SortKey
+from repro.types.intervals import native_sort_key
+from repro.types.values import equality_key
 
 Row = tuple
 
@@ -27,18 +28,9 @@ def _hashable(values: tuple) -> Optional[tuple]:
     """Hash key for join values; None when any component is NULL (SQL
     equality never matches NULLs).  Strings fold to the default
     collation's key so hash joins agree with ``=``."""
-    from repro.types.values import collation_key
-
-    out = []
-    for value in values:
-        if value is None:
-            return None
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        out.append(collation_key(value))
-    return tuple(out)
+    if None in values:
+        return None
+    return tuple(map(equality_key, values))
 
 
 def run_hash_join(plan: P.HashJoin, ctx: ExecutionContext) -> Iterator[Row]:
@@ -192,47 +184,48 @@ def run_merge_join(plan: P.MergeJoin, ctx: ExecutionContext) -> Iterator[Row]:
         )
     left_rows = list(open_plan(plan.left, ctx))
     right_rows = list(open_plan(plan.right, ctx))
-    i = j = 0
-    while i < len(left_rows):
-        left_value = left_rows[i][left_ordinal]
-        if left_value is None:
+    left_values = [row[left_ordinal] for row in left_rows]
+    right_values = [row[right_ordinal] for row in right_rows]
+    # one key for both inputs, so the two sides compare in one order
+    key = native_sort_key(left_values + right_values)
+    if key is not None:
+        left_values = [None if v is None else key(v) for v in left_values]
+        right_values = [None if v is None else key(v) for v in right_values]
+    right_count = len(right_rows)
+    j = 0
+    for left_row, left_key in zip(left_rows, left_values):
+        if left_key is None:
             if plan.kind == "anti_semi":
-                yield left_rows[i]
-            i += 1
+                yield left_row
             continue
-        left_key = SortKey(left_value)
         # advance right cursor
-        while j < len(right_rows) and (
-            right_rows[j][right_ordinal] is None
-            or SortKey(right_rows[j][right_ordinal]) < left_key
+        while j < right_count and (
+            right_values[j] is None or right_values[j] < left_key
         ):
             j += 1
         # collect the matching right run
         k = j
         matches = []
-        while k < len(right_rows) and SortKey(
-            right_rows[k][right_ordinal]
-        ) == left_key:
+        while k < right_count and right_values[k] == left_key:
             matches.append(right_rows[k])
             k += 1
         if plan.kind == "inner":
             for right_row in matches:
-                combined = left_rows[i] + right_row
+                combined = left_row + right_row
                 if residual is None or residual(combined, params) is True:
                     yield combined
         elif plan.kind == "semi":
             for right_row in matches:
-                combined = left_rows[i] + right_row
+                combined = left_row + right_row
                 if residual is None or residual(combined, params) is True:
-                    yield left_rows[i]
+                    yield left_row
                     break
         elif plan.kind == "anti_semi":
             survived = True
             for right_row in matches:
-                combined = left_rows[i] + right_row
+                combined = left_row + right_row
                 if residual is None or residual(combined, params) is True:
                     survived = False
                     break
             if survived:
-                yield left_rows[i]
-        i += 1
+                yield left_row

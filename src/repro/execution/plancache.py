@@ -61,6 +61,7 @@ from repro.resilience.health import CLOSED
 __all__ = [
     "CachedStatement",
     "CompiledSelect",
+    "MAX_CACHED_TEXT",
     "PlanCacheEntry",
     "PlanCache",
     "StatementCache",
@@ -93,14 +94,21 @@ class CachedStatement:
         return self._normalized
 
 
+#: texts longer than this (characters) are parsed but never kept, so a
+#: loader's large multi-row INSERTs cannot pin the cache's memory
+MAX_CACHED_TEXT = 16 * 1024
+
+
 class StatementCache:
     """Raw statement text -> :class:`CachedStatement`, one per engine.
 
     Parsing is a pure function of the text, so an entry is never
-    invalidated; the cache is bounded and evicts the least recently
-    executed text.  A hit is two dictionary operations — no lexing, no
-    parsing, no normalizing, no lock.  Sessions racing on one new text
-    may each parse it; an entry is published only once it is complete.
+    invalidated; the cache is bounded in entries, evicts the least
+    recently executed text, and keeps no text longer than
+    :data:`MAX_CACHED_TEXT`.  A hit is two dictionary operations — no
+    lexing, no parsing, no normalizing, no lock.  Sessions racing on one
+    new text may each parse it; an entry is published only once it is
+    complete.
     """
 
     def __init__(self, capacity: int):
@@ -118,7 +126,10 @@ class StatementCache:
             except KeyError:  # evicted by a racing session; still good
                 pass
             return entry
-        entry = entries[text] = CachedStatement(text, parse(text))
+        entry = CachedStatement(text, parse(text))
+        if len(text) > MAX_CACHED_TEXT:
+            return entry
+        entries[text] = entry
         while len(entries) > self.capacity:
             try:
                 entries.popitem(last=False)

@@ -255,6 +255,10 @@ class NetworkChannel:
         injector is consulted at every batch boundary, and a batch whose
         accumulated cost exceeds ``timeout_ms`` raises mid-stream.
         """
+        row_bytes = (
+            schema.row_width_function() if schema is not None
+            else _untyped_row_bytes
+        )
         in_batch = 0
         batch_cost = 0.0
         for row in rows:
@@ -262,7 +266,7 @@ class NetworkChannel:
                 self._consult_injector()
                 batch_cost = self.latency_ms
                 self._charge(self.latency_ms, round_trips=1)
-            nbytes = self._row_bytes(row, schema)
+            nbytes = row_bytes(row)
             row_cost = self.transfer_ms(nbytes) * self.slow_factor
             batch_cost += row_cost
             if (
@@ -285,31 +289,30 @@ class NetworkChannel:
             in_batch = (in_batch + 1) % batch_rows
             yield row
 
-    @staticmethod
-    def _row_bytes(row: tuple[Any, ...], schema: Optional[Schema]) -> int:
-        if schema is not None:
-            return schema.row_width(row)
-        total = 0
-        for value in row:
-            if value is None:
-                total += 1
-            elif isinstance(value, str):
-                total += len(value) + 2
-            elif isinstance(value, bool):
-                total += 1
-            elif isinstance(value, float):
-                total += 8
-            elif isinstance(value, int):
-                total += 4 if -(2**31) <= value < 2**31 else 8
-            else:
-                total += 8
-        return total
-
     def __repr__(self) -> str:
         return (
             f"NetworkChannel({self.name}, {self.latency_ms}ms, "
             f"{self.mb_per_second}MB/s)"
         )
+
+
+def _untyped_row_bytes(row: tuple[Any, ...]) -> int:
+    """Wire width of a row streamed without a schema, from its values."""
+    total = 0
+    for value in row:
+        if value is None:
+            total += 1
+        elif isinstance(value, str):
+            total += len(value) + 2
+        elif isinstance(value, bool):
+            total += 1
+        elif isinstance(value, float):
+            total += 8
+        elif isinstance(value, int):
+            total += 4 if -(2**31) <= value < 2**31 else 8
+        else:
+            total += 8
+    return total
 
 
 def local_channel() -> NetworkChannel:

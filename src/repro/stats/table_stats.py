@@ -87,9 +87,10 @@ class TableStatistics:
             rows = list(rows)
         row_count = 0
         width_total = 0
+        width = schema.row_width_function()
         for row in rows:
             row_count += 1
-            width_total += schema.row_width(row)
+            width_total += width(row)
         avg_width = width_total / row_count if row_count else schema.row_width()
         stats = TableStatistics(row_count, None, avg_width)
         stats._schema = schema

@@ -54,7 +54,6 @@ from repro.types.intervals import (
     NEG_INF,
     POS_INF,
     SortKey,
-    row_sort_key,
 )
 from repro.types.collation import Collation, DEFAULT_COLLATION
 
@@ -101,7 +100,6 @@ __all__ = [
     "NEG_INF",
     "POS_INF",
     "SortKey",
-    "row_sort_key",
     "Collation",
     "DEFAULT_COLLATION",
 ]

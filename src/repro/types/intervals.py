@@ -14,7 +14,11 @@ interval sets work for numbers, strings, and dates alike.
 
 from __future__ import annotations
 
+import datetime as _dt
+import math
 from typing import Any, Iterable, Optional, Sequence
+
+from repro.types.collation import DEFAULT_COLLATION
 
 
 class _Infinity:
@@ -80,12 +84,8 @@ def _coerce_pair(a: Any, b: Any) -> tuple[Any, Any]:
     numbers, dates against datetimes widen to datetimes; string pairs
     fold to the default collation's comparison key (case-insensitive,
     like SQL Server's Latin1_General_CI_AS)."""
-    import datetime as _dt
-
-    from repro.types.collation import DEFAULT_COLLATION
-
     if isinstance(a, str) and isinstance(b, str):
-        return DEFAULT_COLLATION.normalize(a), DEFAULT_COLLATION.normalize(b)
+        return _normalize(a), _normalize(b)
     if isinstance(a, str) and isinstance(b, (_dt.date, _dt.datetime)):
         parsed = _parse_temporal_endpoint(a, b)
         if parsed is not None:
@@ -120,8 +120,6 @@ def _coerce_pair(a: Any, b: Any) -> tuple[Any, Any]:
 
 
 def _parse_temporal_endpoint(text: str, like: Any) -> Any:
-    import datetime as _dt
-
     try:
         if isinstance(like, _dt.datetime):
             return _dt.datetime.fromisoformat(text)
@@ -174,33 +172,91 @@ class SortKey:
 
 
 def native_sort_key(values: Sequence[Any]):
-    """The cheapest ``key=`` that orders ``values`` (no NULLs) exactly as
-    :class:`SortKey` would, chosen from the kinds of value present.
+    """The cheapest ``key=`` that orders the non-NULL ``values`` exactly
+    as :class:`SortKey` would, chosen from the kinds of value present
+    (NULLs are ignored; :func:`sql_sorted` places them).
 
     ``None`` means the values order themselves: ``int``/``float`` and
     ``date``/naive ``datetime`` columns compare natively just as
     ``_cmp`` compares them.  Strings sort on the default collation's
     comparison key.  Everything else — mixed kinds, ``bool`` (which
     ``_cmp`` widens to ``int``), ``Decimal``, aware datetimes (which
-    ``_cmp`` cannot order) — keeps :class:`SortKey`.
+    ``_cmp`` cannot order), and floats that include NaN (which no
+    order places consistently, so where it lands depends on the exact
+    comparisons made) — keeps :class:`SortKey`.
     """
-    import datetime as _dt
-
-    from repro.types.collation import DEFAULT_COLLATION
-
     kinds = set(map(type, values))
-    if kinds <= {int, float} or kinds == {_dt.date}:
+    kinds.discard(_NONE)
+    if kinds <= _NUMBERS:
+        return SortKey if float in kinds and _has_nan(values) else None
+    if kinds == _STR:
+        return _normalize
+    if kinds == _DATE:
         return None
-    if kinds == {str}:
-        return DEFAULT_COLLATION.normalize
-    if kinds == {_dt.datetime} and all(v.tzinfo is None for v in values):
+    if kinds == _DATETIME and all(
+        v.tzinfo is None for v in values if v is not None
+    ):
         return None
     return SortKey
 
 
-def row_sort_key(row: Any) -> tuple[SortKey, ...]:
-    """Key function ordering whole rows (tuples) under SQL semantics."""
-    return tuple(SortKey(v) for v in row)
+def sql_sorted(items: Iterable[Any], value_of, reverse: bool = False) -> list:
+    """``items`` stably sorted on ``value_of(item)`` in the SQL order:
+    NULLs first, or last when ``reverse`` (DESC), the rest on
+    :func:`native_sort_key`'s key — the order, ties included, of
+    ``sorted(items, key=lambda i: SortKey(value_of(i)), reverse=reverse)``.
+    """
+    items = list(items)
+    values = list(map(value_of, items))
+    key = native_sort_key(values)
+    if key is SortKey:
+        # not a consistent order over these kinds: the exact comparisons
+        # decide, so NULLs stay in the one sort, as SortKey places them
+        return sorted(
+            items, key=lambda item: SortKey(value_of(item)), reverse=reverse
+        )
+    nulls: list = []
+    if None in values:
+        nulls = [item for item, v in zip(items, values) if v is None]
+        items = [item for item, v in zip(items, values) if v is not None]
+        values = [v for v in values if v is not None]
+    if key is None:
+        ordered = sorted(items, key=value_of, reverse=reverse)
+    else:
+        keys = list(map(key, values))
+        order = sorted(range(len(items)), key=keys.__getitem__, reverse=reverse)
+        ordered = [items[i] for i in order]
+    return ordered + nulls if reverse else nulls + ordered
+
+
+def sql_precedes(a: Any, b: Any) -> bool:
+    """``SortKey(a) < SortKey(b)`` for two non-NULL values, compared
+    natively when both are numbers, both strings (on the collation
+    key) or both dates; any other pair goes through ``_cmp``."""
+    kind_a, kind_b = type(a), type(b)
+    if kind_a in _NUMBERS and kind_b in _NUMBERS:
+        return a < b
+    if kind_a is kind_b:
+        if kind_a is str:
+            return _normalize(a) < _normalize(b)
+        if kind_a is _dt.date:
+            return a < b
+    return _cmp(a, b) < 0
+
+
+def _has_nan(values: Sequence[Any]) -> bool:
+    try:
+        return any(map(math.isnan, values))
+    except (TypeError, OverflowError):  # NULLs, or ints past float range
+        return any(v != v for v in values if v is not None)
+
+
+_NONE = type(None)
+_NUMBERS = frozenset({int, float})
+_STR = frozenset({str})
+_DATE = frozenset({_dt.date})
+_DATETIME = frozenset({_dt.datetime})
+_normalize = DEFAULT_COLLATION.normalize
 
 
 class Interval:

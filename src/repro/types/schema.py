@@ -8,10 +8,10 @@ resolves (qualifier, name) pairs to ordinals at compile time.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import BindError, CatalogError
-from repro.types.datatypes import SqlType
+from repro.types.datatypes import SqlType, VarcharType
 
 
 class Column:
@@ -76,10 +76,11 @@ class Column:
 class Schema:
     """An ordered collection of columns with name-resolution helpers."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "_width_fn")
 
     def __init__(self, columns: Iterable[Column]):
         self.columns = tuple(columns)
+        self._width_fn: Optional[Callable[[Sequence[Any]], int]] = None
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -159,9 +160,40 @@ class Schema:
         return tuple(out)
 
     def row_width(self, row: Optional[Sequence[Any]] = None) -> int:
-        """Estimated serialized row width in bytes."""
+        """Estimated serialized row width in bytes (value-specific if a
+        row is given)."""
         if row is None:
             return sum(c.type.byte_width() for c in self.columns)
-        return sum(
-            c.type.byte_width(v) for c, v in zip(self.columns, row)
-        )
+        return self.row_width_function()(row)
+
+    def row_width_function(self) -> Callable[[Sequence[Any]], int]:
+        """``row -> row_width(row)``, made once per schema.  Only
+        VARCHAR's width depends on the value, so the other columns'
+        widths are summed here and a row adds ``len(str(v)) + 2`` per
+        VARCHAR value (the declared default for a NULL)."""
+        width = self._width_fn
+        if width is None:
+            width = self._width_fn = _width_function(self.columns)
+        return width
+
+
+def _width_function(columns: tuple[Column, ...]) -> Callable[[Sequence[Any]], int]:
+    fixed = 0
+    varchars = []
+    for ordinal, column in enumerate(columns):
+        if isinstance(column.type, VarcharType):
+            varchars.append((ordinal, column.type.byte_width()))
+        else:
+            fixed += column.type.byte_width()
+    arity = len(columns)
+
+    def width(row: Sequence[Any]) -> int:
+        if len(row) != arity:  # a ragged row: sum what pairs up
+            return sum(c.type.byte_width(v) for c, v in zip(columns, row))
+        total = fixed
+        for ordinal, null_width in varchars:
+            value = row[ordinal]
+            total += null_width if value is None else len(str(value)) + 2
+        return total
+
+    return width

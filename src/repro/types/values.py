@@ -34,6 +34,23 @@ def collation_key(value: Any) -> Any:
     return value
 
 
+def equality_key(value: Any) -> Any:
+    """Grouping/hashing key under ``=``: ``bool`` and integral floats
+    unify with ``int``, strings fold by :func:`collation_key`.  Exact
+    ``int``, NULL and ``str`` take their answer without the general
+    tests; every other value goes through them."""
+    kind = type(value)
+    if kind is int or value is None:
+        return value
+    if kind is str:
+        return DEFAULT_COLLATION.normalize(value)
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return collation_key(value)
+
+
 def _comparable(a: Any, b: Any) -> tuple[Any, Any]:
     """Normalize a pair of non-NULL values so Python can compare them."""
     if isinstance(a, bool):

@@ -1,6 +1,8 @@
 """Tests for execution operators, exercised through engine plans and
 directly where the operator has subtle semantics."""
 
+import datetime as dt
+
 import pytest
 
 from repro import Engine
@@ -146,6 +148,64 @@ class TestSpool:
             executor_module.open_plan = executor_module_open
         assert counter["opens"] == 1
         assert ctx.spool_rescans == 1
+
+
+class TestAccumulators:
+    """Each aggregate keeps only its own function's state."""
+
+    @pytest.fixture
+    def wide(self):
+        e = Engine("local")
+        e.execute("CREATE TABLE t (id int, name varchar(40), d date, x float)")
+        table = e.catalog.database().table("t")
+        start = dt.date(2000, 1, 1)
+        for i in range(20000):
+            table.insert(
+                (i, f"customer-{i:05d}-abcdefghijklmn",
+                 start + dt.timedelta(days=i % 3000), i / 4)
+            )
+        return e
+
+    def test_min_max_build_no_running_total(self, wide, monkeypatch):
+        from repro.execution import aggregates
+
+        made = []
+        real = aggregates.accumulator_for
+
+        def spy(call):
+            accumulator = real(call)
+            made.append(accumulator)
+            return accumulator
+
+        monkeypatch.setattr(aggregates, "accumulator_for", spy)
+        row = wide.execute("SELECT MAX(name), MIN(d), MIN(name), MAX(d) FROM t").rows
+        assert row == [(
+            "customer-19999-abcdefghijklmn", dt.date(2000, 1, 1),
+            "customer-00000-abcdefghijklmn", dt.date(2000, 1, 1)
+            + dt.timedelta(days=2999),
+        )]
+        assert len(made) == 4
+        assert all(getattr(a, "total", None) is None for a in made)
+
+    def test_sum_and_avg_results_unchanged(self, engine):
+        engine.execute("CREATE TABLE s (g int, n int, f float, v varchar(5))")
+        engine.execute(
+            "INSERT INTO s VALUES (1, 1, 0.5, 'a'), (1, 2, NULL, 'B'), "
+            "(1, NULL, 1.5, NULL), (2, NULL, NULL, NULL)"
+        )
+        rows = engine.execute(
+            "SELECT g, SUM(n), AVG(n), SUM(f), AVG(f), SUM(v), COUNT(v), "
+            "COUNT(*) FROM s GROUP BY g ORDER BY g"
+        ).rows
+        # SUM over strings concatenates, in arrival order; an all-NULL
+        # group sums and averages to NULL
+        assert rows == [
+            (1, 3, 1.5, 2.0, 1.0, "aB", 2, 3),
+            (2, None, None, None, None, None, 0, 1),
+        ]
+        assert engine.execute(
+            "SELECT SUM(DISTINCT n), COUNT(DISTINCT v) FROM s"
+        ).rows == [(3, 2)]
 
 
 class TestStartupFilter:

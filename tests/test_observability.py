@@ -466,6 +466,45 @@ class TestHierarchicalSpans:
         for span in trace.spans():
             assert span.duration_ms >= 0.0
 
+    @staticmethod
+    def _parent_operator(trace, child_label):
+        """The operator (or, outside the operator tree, the span name)
+        that ``child_label``'s span is parented under."""
+        by_id = {s.span_id: s for s in trace.spans()}
+        child = next(
+            s for s in trace.spans("operator")
+            if s.attrs["operator"] == child_label
+        )
+        parent = by_id.get(child.parent_id)
+        return None if parent is None else parent.attrs.get("operator", parent.name)
+
+    @pytest.fixture
+    def names(self):
+        engine = Engine("local")
+        engine.execute("CREATE TABLE t (id int, name varchar(20))")
+        engine.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({i}, 'n{i % 17}')" for i in range(300))
+        )
+        return engine
+
+    def test_sort_span_holds_its_own_work(self, names):
+        # the sort opens its child and sorts on its first pull, inside
+        # its own span, so the scan it drains nests under it
+        names.tracing_enabled = True
+        result = names.execute("SELECT id FROM t ORDER BY name DESC, id")
+        assert self._parent_operator(result.trace, "TableScan") == "PhysicalSort"
+
+    def test_spool_span_holds_its_own_work(self, names):
+        from repro.core import physical as P
+        from repro.execution import ExecutionContext, execute_plan
+
+        inner = names.execute("SELECT id, name FROM t").plan
+        trace = QueryTrace("spooled")
+        rows = execute_plan(P.Spool(inner), ExecutionContext(trace=trace))
+        assert len(rows) == 300
+        assert self._parent_operator(trace, type(inner).__name__) == "Spool"
+
     def test_retry_counts_reconcile_under_faults(self, world):
         from repro import FaultInjector, RetryPolicy
 

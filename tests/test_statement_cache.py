@@ -218,6 +218,26 @@ class TestBound:
         # recency, not age, decides who goes: the hot text is still there
         assert engine.statement_cache.get(hot, None).text == hot
 
+    def test_a_large_text_is_parsed_but_not_kept(self, calls):
+        engine = Engine("local")
+        engine.execute("CREATE TABLE t (id int, v varchar(40))")
+        row = "'" + "x" * 36 + "'"
+        big = "INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {row})" for i in range(22000)
+        )
+        assert len(big) > 1_000_000 > plancache.MAX_CACHED_TEXT
+        before = len(engine.statement_cache)
+        assert engine.execute(big).rowcount == 22000
+        assert len(engine.statement_cache) == before
+        assert all(len(t) <= plancache.MAX_CACHED_TEXT
+                   for t in engine.statement_cache._entries)
+        # a short text is still kept, and hit the second time
+        short = "SELECT COUNT(*) FROM t"
+        assert engine.execute(short).rows == [(22000,)]
+        calls.clear()
+        assert engine.execute(short).rows == [(22000,)]
+        assert calls["parse_sql"] == 0
+
 
 # ----------------------------------------------------------------------
 # immutability: the AST every execution shares is never written to

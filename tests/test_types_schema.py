@@ -1,9 +1,13 @@
 """Tests for columns and schemas."""
 
+import datetime as dt
+
 import pytest
 
 from repro.errors import BindError, CatalogError
-from repro.types import Column, INT, Schema, varchar
+from repro.types import (
+    BIGINT, BOOL, DATE, DATETIME, FLOAT, INT, Column, Schema, varchar,
+)
 
 
 @pytest.fixture
@@ -81,6 +85,28 @@ class TestCombinators:
 
     def test_row_width_with_values(self, schema):
         assert schema.row_width((1, "ab", "abcd")) == 4 + 4 + 6
+
+    def test_row_width_is_the_sum_of_column_widths(self):
+        # every type, NULLs included: the precomputed function adds up
+        # to what each column's byte_width says of its value
+        wide = Schema(
+            Column(f"c{i}", t)
+            for i, t in enumerate(
+                (INT, BIGINT, FLOAT, BOOL, DATE, DATETIME, varchar(), varchar(9))
+            )
+        )
+        rows = [
+            (1, 2, 1.5, True, dt.date(2000, 1, 1), dt.datetime(2000, 1, 1), "abc", 7),
+            (None,) * 8,
+            (None, None, None, None, None, None, "", "longer text"),
+        ]
+        for row in rows:
+            assert wide.row_width(row) == sum(
+                c.type.byte_width(v) for c, v in zip(wide, row)
+            )
+        assert wide.row_width_function() is wide.row_width_function()
+        # a ragged row still sums the columns it pairs with
+        assert wide.row_width((1, 2)) == 4 + 8
 
     def test_equality_and_hash(self, schema):
         clone = Schema(list(schema.columns))
