@@ -83,6 +83,11 @@ class ScalarExpr:
     def children(self) -> tuple["ScalarExpr", ...]:
         return ()
 
+    def with_children(self, children: Sequence["ScalarExpr"]) -> "ScalarExpr":
+        """This expression over ``children`` in place of
+        :meth:`children`, in the same order; composites override it."""
+        raise NotImplementedError
+
     def compile(self, layout: Layout) -> Compiled:
         """Compile to a closure over (row, params)."""
         raise NotImplementedError
@@ -248,6 +253,9 @@ class BinaryOp(ScalarExpr):
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return BinaryOp(self.op, *children)
+
     def references(self) -> frozenset[ColumnId]:
         return self.left.references() | self.right.references()
 
@@ -289,6 +297,9 @@ class NotOp(ScalarExpr):
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.operand,)
 
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return NotOp(*children)
+
     def references(self) -> frozenset[ColumnId]:
         return self.operand.references()
 
@@ -315,6 +326,9 @@ class IsNullOp(ScalarExpr):
 
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.operand,)
+
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return IsNullOp(*children, self.negated)
 
     def references(self) -> frozenset[ColumnId]:
         return self.operand.references()
@@ -350,6 +364,9 @@ class InListOp(ScalarExpr):
 
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.operand,) + self.items
+
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return InListOp(children[0], children[1:], self.negated)
 
     def references(self) -> frozenset[ColumnId]:
         refs = self.operand.references()
@@ -413,6 +430,9 @@ class LikeOp(ScalarExpr):
 
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.operand, self.pattern)
+
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return LikeOp(*children, self.negated)
 
     def references(self) -> frozenset[ColumnId]:
         return self.operand.references() | self.pattern.references()
@@ -518,6 +538,9 @@ class FuncCall(ScalarExpr):
     def children(self) -> tuple[ScalarExpr, ...]:
         return self.args
 
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return FuncCall(self.name, children)
+
     def references(self) -> frozenset[ColumnId]:
         refs: frozenset[ColumnId] = frozenset()
         for arg in self.args:
@@ -618,6 +641,9 @@ class ContainsPredicate(ScalarExpr):
 
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.column,)
+
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return ContainsPredicate(*children, self.query_text)
 
     def references(self) -> frozenset[ColumnId]:
         return self.column.references()

@@ -102,10 +102,6 @@ class LogicalOp:
         """Ordered ids of the columns this operator produces."""
         raise NotImplementedError
 
-    def local_references(self) -> frozenset[ColumnId]:
-        """Ids referenced by this operator's own expressions."""
-        return frozenset()
-
     def with_inputs(self, inputs: Sequence[Any]) -> "LogicalOp":
         """A copy with different children (memo insertion)."""
         raise NotImplementedError
@@ -156,9 +152,6 @@ class Select(LogicalOp):
     def output_ids(self) -> tuple[ColumnId, ...]:
         return self.child.output_ids()
 
-    def local_references(self) -> frozenset[ColumnId]:
-        return self.predicate.references()
-
     def with_inputs(self, inputs: Sequence[Any]) -> "Select":
         return Select(inputs[0], self.predicate)
 
@@ -192,12 +185,6 @@ class Project(LogicalOp):
 
     def output_ids(self) -> tuple[ColumnId, ...]:
         return tuple(cid for cid, __ in self.outputs)
-
-    def local_references(self) -> frozenset[ColumnId]:
-        refs: frozenset[ColumnId] = frozenset()
-        for __, expr in self.outputs:
-            refs |= expr.references()
-        return refs
 
     def with_inputs(self, inputs: Sequence[Any]) -> "Project":
         return Project(inputs[0], self.outputs, self.column_defs)
@@ -251,11 +238,6 @@ class Join(LogicalOp):
             return tuple(left_ids)
         return tuple(left_ids) + tuple(self.right.output_ids())
 
-    def local_references(self) -> frozenset[ColumnId]:
-        if self.condition is None:
-            return frozenset()
-        return self.condition.references()
-
     def with_inputs(self, inputs: Sequence[Any]) -> "Join":
         return Join(inputs[0], inputs[1], self.kind, self.condition)
 
@@ -289,12 +271,6 @@ class Aggregate(LogicalOp):
 
     def output_ids(self) -> tuple[ColumnId, ...]:
         return self.group_by + tuple(a.output_cid for a in self.aggregates)
-
-    def local_references(self) -> frozenset[ColumnId]:
-        refs = frozenset(self.group_by)
-        for aggregate in self.aggregates:
-            refs |= aggregate.references()
-        return refs
 
     def with_inputs(self, inputs: Sequence[Any]) -> "Aggregate":
         return Aggregate(inputs[0], self.group_by, self.aggregates)
@@ -340,9 +316,6 @@ class Sort(LogicalOp):
 
     def output_ids(self) -> tuple[ColumnId, ...]:
         return self.child.output_ids()
-
-    def local_references(self) -> frozenset[ColumnId]:
-        return frozenset(k.cid for k in self.keys)
 
     def with_inputs(self, inputs: Sequence[Any]) -> "Sort":
         return Sort(inputs[0], self.keys)

@@ -23,7 +23,7 @@ from repro.core.linked_server import LinkedServer, RemoteTableInfo
 from repro.core.memo import Memo, Group, GroupExpression
 from repro.core.optimizer import Optimizer, OptimizationResult, OptimizerOptions
 from repro.core.physical import PhysicalOp
-from repro.core.cost import Cost, CostModel
+from repro.core.cost import CostModel
 
 __all__ = [
     "LinkedServer",
@@ -35,6 +35,5 @@ __all__ = [
     "OptimizationResult",
     "OptimizerOptions",
     "PhysicalOp",
-    "Cost",
     "CostModel",
 ]

@@ -58,6 +58,9 @@ class DomainTest(ScalarExpr):
     def children(self) -> tuple[ScalarExpr, ...]:
         return (self.probe,)
 
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return DomainTest(*children, self.op, self.domain)
+
     def references(self) -> frozenset[ColumnId]:
         return frozenset()
 

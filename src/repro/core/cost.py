@@ -21,16 +21,6 @@ from repro.network.channel import NetworkChannel
 #: cost units are (simulated) milliseconds
 
 
-class Cost:
-    """A scalar cost with a convenience for unreachable plans."""
-
-    INFINITE = float("inf")
-
-    @staticmethod
-    def is_better(a: float, b: float) -> bool:
-        return a < b
-
-
 class CostModel:
     """Tunable cost constants; one instance per optimizer."""
 

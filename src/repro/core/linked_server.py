@@ -319,8 +319,8 @@ class LinkedServer:
         session = self.session
         target = table_name.lower()
         columns = []
-        for (tname, cname, __, type_name, nullable) in self._rowset(
-            session, "COLUMNS", database, table_name
+        for (tname, cname, __, type_name, nullable) in session.schema_rowset(
+            "COLUMNS", database_name=database, table_name=table_name
         ):
             if tname.lower() == target:
                 columns.append(Column(cname, type_from_name(type_name), nullable))
@@ -332,8 +332,10 @@ class LinkedServer:
             session, table_name, database
         ) or (0.0, 64.0, 1)
         indexes: Dict[str, list[tuple[int, str, bool]]] = {}
-        for (tname, index_name, unique, ordinal, column_name) in self._rowset(
-            session, "INDEXES", database, table_name
+        for (tname, index_name, unique, ordinal, column_name) in (
+            session.schema_rowset(
+                "INDEXES", database_name=database, table_name=table_name
+            )
         ):
             if tname.lower() == target:
                 indexes.setdefault(index_name, []).append(
@@ -351,17 +353,14 @@ class LinkedServer:
                 )
             )
         check_domains: Dict[str, IntervalSet] = {}
-        try:
-            for (tname, __, column_name, domain, __text) in self._rowset(
-                session, "CHECK_CONSTRAINTS", database, table_name
-            ):
-                if tname.lower() == target and column_name and domain is not None:
-                    existing = check_domains.get(column_name.lower())
-                    check_domains[column_name.lower()] = (
-                        domain if existing is None else existing.intersect(domain)
-                    )
-        except (ProviderError, NotSupportedError):
-            pass
+        for (tname, __, column_name, domain, __text) in session.schema_rowset(
+            "CHECK_CONSTRAINTS", database_name=database, table_name=table_name
+        ):
+            if tname.lower() == target and column_name and domain is not None:
+                existing = check_domains.get(column_name.lower())
+                check_domains[column_name.lower()] = (
+                    domain if existing is None else existing.intersect(domain)
+                )
         return RemoteTableInfo(
             table_name,
             Schema(columns),
@@ -372,28 +371,14 @@ class LinkedServer:
             check_domains,
         )
 
-    @staticmethod
-    def _rowset(
-        session: Session, which: str, database: Optional[str], table_name: str
-    ):
-        """schema_rowset about one table: database targeting and the
-        TABLE_NAME restriction when supported, else everything the
-        provider has (callers keep only ``table_name``'s rows)."""
-        try:
-            return session.schema_rowset(
-                which, database_name=database, table_name=table_name
-            )
-        except TypeError:
-            return session.schema_rowset(which)
-
     def _tables_info(
         self, session: Session, table_name: str, database: Optional[str]
     ) -> Optional[tuple[float, float, int]]:
         """``table_name``'s TABLES_INFO row as (cardinality, average row
         width, schema version); None when the provider lists none."""
         target = table_name.lower()
-        for (tname, rows, width, schema_version) in self._rowset(
-            session, "TABLES_INFO", database, table_name
+        for (tname, rows, width, schema_version) in session.schema_rowset(
+            "TABLES_INFO", database_name=database, table_name=table_name
         ):
             if tname.lower() == target:
                 return float(rows), float(width), int(schema_version)

@@ -564,9 +564,6 @@ class TransactionCoordinator:
                 if self._undecided(branch)
             )
 
-    def is_branch_in_doubt(self, name: str) -> bool:
-        return name.lower() in self.in_doubt_branches()
-
     def in_doubt_tables(self) -> frozenset:
         """Lower-cased table names touched by undecided branches."""
         with self._lock:

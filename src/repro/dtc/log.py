@@ -123,9 +123,6 @@ class CoordinatorLog:
         self._records = survivors
         return dropped
 
-    def durable_records(self) -> list[LogRecord]:
-        return [r for r in self._records if r.durable]
-
     @property
     def records(self) -> list[LogRecord]:
         return list(self._records)

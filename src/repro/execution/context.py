@@ -28,7 +28,6 @@ class ExecutionContext:
         self,
         params: Optional[Dict[str, Any]] = None,
         subquery_executor: Optional[Callable[[Any], list]] = None,
-        validate_schemas: bool = True,
         profiler: Optional["PlanProfiler"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         trace: Optional["QueryTrace"] = None,
@@ -41,8 +40,6 @@ class ExecutionContext:
         self.params = dict(params or {})
         #: engine callback: optimize+execute a logical tree, return rows
         self.subquery_executor = subquery_executor
-        #: delayed schema validation switch (Section 4.1.5)
-        self.validate_schemas = validate_schemas
         #: per-execution spool materializations (Spool.cache_key() ->
         #: rows); an existing cache may be handed in so a bounded
         #: replan reuses results already spooled before a failure
@@ -173,51 +170,7 @@ class ExecutionContext:
         children = expr.children()
         if not children:
             return expr
-        # rebuild via substitute on any child containing a subquery
-        if not _contains_subquery(expr):
+        resolved = [self.resolve_scalar_subqueries(child) for child in children]
+        if all(new is old for new, old in zip(resolved, children)):
             return expr
-        return _rebuild(expr, self)
-
-
-def _contains_subquery(expr: ScalarExpr) -> bool:
-    if isinstance(expr, ScalarSubquery):
-        return True
-    return any(_contains_subquery(child) for child in expr.children())
-
-
-def _rebuild(expr: ScalarExpr, ctx: ExecutionContext) -> ScalarExpr:
-    """Structural rebuild replacing subquery nodes (rare path)."""
-    from repro.algebra.expressions import (
-        BinaryOp,
-        InListOp,
-        IsNullOp,
-        LikeOp,
-        NotOp,
-        FuncCall,
-    )
-
-    if isinstance(expr, ScalarSubquery):
-        return ctx.resolve_scalar_subqueries(expr)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op, _rebuild(expr.left, ctx), _rebuild(expr.right, ctx)
-        )
-    if isinstance(expr, NotOp):
-        return NotOp(_rebuild(expr.operand, ctx))
-    if isinstance(expr, IsNullOp):
-        return IsNullOp(_rebuild(expr.operand, ctx), expr.negated)
-    if isinstance(expr, InListOp):
-        return InListOp(
-            _rebuild(expr.operand, ctx),
-            [_rebuild(i, ctx) for i in expr.items],
-            expr.negated,
-        )
-    if isinstance(expr, LikeOp):
-        return LikeOp(
-            _rebuild(expr.operand, ctx),
-            _rebuild(expr.pattern, ctx),
-            expr.negated,
-        )
-    if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, [_rebuild(a, ctx) for a in expr.args])
-    return expr
+        return expr.with_children(resolved)

@@ -120,10 +120,7 @@ def run_remote_scan(plan: P.RemoteScan, ctx: ExecutionContext) -> Iterator[Row]:
         raise ExecutionError(
             f"RemoteScan without a provider: {plan.table.qualified_name}"
         )
-    if ctx.validate_schemas:
-        server.validate_schema_version(
-            plan.table.table_name, plan.table.database
-        )
+    server.validate_schema_version(plan.table.table_name, plan.table.database)
 
     def open_rowset():
         return server.create_session().open_rowset(
@@ -142,10 +139,8 @@ def run_remote_range(plan: P.RemoteRange, ctx: ExecutionContext) -> Iterator[Row
     server = plan.table.provider
     if server is None:
         raise ExecutionError("RemoteRange without a provider")
-    if ctx.validate_schemas:
-        server.validate_schema_version(
-            plan.table.table_name, plan.table.database
-        )
+    server.validate_schema_version(plan.table.table_name, plan.table.database)
+
     def generate() -> Iterator[Row]:
         session = server.create_session()
         for interval in plan.domain.intervals:
@@ -190,9 +185,8 @@ def run_remote_query(
     current ``outer_row``.
     """
     server = plan.server
-    if ctx.validate_schemas:
-        for database, table_name in plan.tables_referenced:
-            server.validate_schema_version(table_name, database)
+    for database, table_name in plan.tables_referenced:
+        server.validate_schema_version(table_name, database)
     if plan.param_exprs:
         layout = outer_layout or {}
         values = [

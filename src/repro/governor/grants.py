@@ -97,10 +97,6 @@ class MemoryGrant:
         self._released = False
         self._on_release = on_release
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def release(self) -> None:
         """Return the lease to the pool.  Idempotent — the engine's
         ``finally`` may race a replan's explicit release."""

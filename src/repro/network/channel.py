@@ -48,7 +48,8 @@ class NetworkChannel:
     A channel with zero latency and infinite bandwidth (see
     :func:`local_channel`) models in-process access to the local storage
     engine — the paper notes local access goes through the same OLE DB
-    path.  Local channels skip fault/timeout processing entirely.
+    path.  Local channels skip fault/timeout processing entirely, and
+    rows a provider hands over through :meth:`deliver` are not charged.
     """
 
     def __init__(
@@ -240,6 +241,16 @@ class NetworkChannel:
             self._charge_message(
                 self.latency_ms + self.transfer_ms(nbytes) * self.slow_factor
             )
+
+    def deliver(
+        self, rows: Iterable[tuple[Any, ...]], schema: Optional[Schema] = None
+    ) -> Iterable[tuple[Any, ...]]:
+        """The rows a provider hands its consumer.  Local access is
+        free: in process they pass unchanged; over a wire they stream
+        through :meth:`stream_rows`, which charges them."""
+        if self.is_local:
+            return rows
+        return self.stream_rows(rows, schema)
 
     def stream_rows(
         self,

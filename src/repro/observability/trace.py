@@ -302,12 +302,6 @@ class QueryTrace:
             if isinstance(e, SpanEvent) and (name is None or e.name == name)
         ]
 
-    def span_children(self, span: SpanEvent) -> list[SpanEvent]:
-        return [s for s in self.spans() if s.parent_id == span.span_id]
-
-    def root_spans(self) -> list[SpanEvent]:
-        return [s for s in self.spans() if s.parent_id is None]
-
     def remote_command_spans(self) -> list[SpanEvent]:
         """Spans that cover one remote command / remote rowset each."""
         return self.spans("remote_command")

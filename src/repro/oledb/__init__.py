@@ -3,28 +3,26 @@
 The object hierarchy of Figure 3 — Data Source Object (DSO) → Session →
 Command → Rowset — plus the common extensions the DHQP consumes:
 
-* property sets describing capabilities (``DBPROP_SQLSUPPORT`` dialect
-  levels, index/statistics support, decoder hints such as date literal
-  formats, Section 4.1.3's "additional properties"),
+* one capability descriptor per provider (``DBPROP_SQLSUPPORT``
+  dialect levels, index/statistics support, decoder hints such as date
+  literal formats, Section 4.1.3's "additional properties"),
 * schema rowsets (TABLES, COLUMNS, INDEXES, TABLES_INFO cardinality),
 * histogram rowsets (Section 3.2.4),
 * ISAM navigation (IRowsetIndex seek/range, IRowsetLocate bookmarks),
 * row objects and chaptered rowsets for heterogeneous data
   (Section 3.2.3).
 
-Python ABCs replace COM vtables; a provider "implements an interface"
-by advertising its name in :meth:`DataSource.interfaces`, which is what
-the Table 2 conformance experiment introspects.
+Python classes replace COM vtables.  A provider states each fact once:
+the interfaces it implements as :attr:`DataSource.INTERFACES` (what the
+Table 2 conformance experiment introspects), its capabilities as the
+:class:`ProviderCapabilities` it hands :class:`DataSource`, and the
+rows it produces go through its channel, which alone decides what the
+wire costs.
 """
 
 from repro.oledb.properties import (
     SqlSupportLevel,
     ProviderCapabilities,
-    PropertySet,
-    DBPROP_SQLSUPPORT,
-    DBPROP_NESTED_SELECT,
-    DBPROP_PARALLEL_SCAN,
-    DBPROP_DATE_LITERAL_FORMAT,
 )
 from repro.oledb.interfaces import (
     IDB_INITIALIZE,
@@ -60,11 +58,6 @@ from repro.oledb.schema_rowsets import (
 __all__ = [
     "SqlSupportLevel",
     "ProviderCapabilities",
-    "PropertySet",
-    "DBPROP_SQLSUPPORT",
-    "DBPROP_NESTED_SELECT",
-    "DBPROP_PARALLEL_SCAN",
-    "DBPROP_DATE_LITERAL_FORMAT",
     "IDB_INITIALIZE",
     "IDB_CREATE_SESSION",
     "IDB_PROPERTIES",

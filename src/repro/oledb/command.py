@@ -66,18 +66,19 @@ class Command:
     def execute(self) -> Rowset:
         """Execute the command; returns the result rowset.
 
-        Commands over a network channel charge the outgoing text before
-        executing: the text with the bound values written in, which is
-        as long as the message a real provider sends (marker text plus
-        a parameter block would be about as long, and every recorded
-        byte count assumes this length).
+        The channel is charged for the outgoing text before executing:
+        the text with the bound values written in, which is as long as
+        the message a real provider sends (marker text plus a parameter
+        block would be about as long, and every recorded byte count
+        assumes this length).  The result rows come back through the
+        same channel.
         """
         if self.text is None:
             raise ProviderError("command has no text")
-        channel = self.session.datasource.channel
         rendered = self._render_text()
-        channel.send_command(rendered)
-        return self._execute(rendered)
+        self.session.datasource.channel.send_command(rendered)
+        result = self._execute(rendered)
+        return self.session.deliver(result.schema, result)
 
     def _render_text(self) -> str:
         """The text with each ``?`` marker replaced by its bound value
@@ -107,8 +108,9 @@ class Command:
         return infer_type(value).render_literal(value)
 
     def _execute(self, rendered: str) -> Rowset:
-        """Run the command.  ``rendered`` is all a provider whose
-        language has no markers needs; a SQL provider sends ``text`` and
+        """Run the command at the provider's end; :meth:`execute` ships
+        the result back.  ``rendered`` is all a provider whose language
+        has no markers needs; a SQL provider sends ``text`` and
         ``parameters`` instead and never executes rendered text."""
         raise NotImplementedError
 

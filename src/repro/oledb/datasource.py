@@ -4,7 +4,9 @@ The DSO is "a common abstraction for connecting to the data store"
 (Section 3.1.1): a consumer sets authentication/location properties via
 ``IDBProperties``, calls ``IDBInitialize`` to connect, then
 ``IDBCreateSession`` to obtain sessions.  Concrete providers subclass
-:class:`DataSource` and declare their interface set and capabilities.
+:class:`DataSource` and state each fact once: the interface set as the
+class attribute :attr:`~DataSource.INTERFACES`, the capabilities as the
+descriptor passed to ``__init__``.
 """
 
 from __future__ import annotations
@@ -13,13 +15,8 @@ from typing import Optional
 
 from repro.errors import ConnectionError_, NotSupportedError
 from repro.network.channel import NetworkChannel, local_channel
-from repro.oledb.interfaces import (
-    IDB_CREATE_SESSION,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    MANDATORY_DSO_INTERFACES,
-)
-from repro.oledb.properties import PropertySet, ProviderCapabilities
+from repro.oledb.interfaces import IDB_CREATE_SESSION
+from repro.oledb.properties import ProviderCapabilities
 
 
 class DataSource:
@@ -27,9 +24,19 @@ class DataSource:
 
     #: human-readable provider identifier, e.g. "SQLOLEDB", "MSIDXS"
     provider_name: str = "BASE"
+    #: the OLE DB interfaces this DSO (and its sessions) implement —
+    #: Table 2's row for the provider; every provider declares its own
+    INTERFACES: frozenset[str]
 
-    def __init__(self, channel: Optional[NetworkChannel] = None):
-        self.properties = PropertySet()
+    def __init__(
+        self,
+        channel: Optional[NetworkChannel],
+        capabilities: ProviderCapabilities,
+    ):
+        #: digested capability descriptor (IDBInfo + extended props)
+        self.capabilities = capabilities
+        #: the IDBProperties values a consumer has set
+        self.properties: dict[str, object] = {}
         # each data source gets its own local channel so stats never
         # aggregate across unrelated instances (see local_channel())
         self.channel = channel if channel is not None else local_channel()
@@ -37,19 +44,15 @@ class DataSource:
 
     # -- interface discovery ------------------------------------------------
     def interfaces(self) -> frozenset[str]:
-        """The OLE DB interfaces this DSO (and its sessions) implement.
-
-        Subclasses extend this; the base set is the Table 2 mandatory
-        trio.
-        """
-        return MANDATORY_DSO_INTERFACES | {IDB_PROPERTIES}
+        """The OLE DB interfaces this DSO (and its sessions) implement."""
+        return self.INTERFACES
 
     def supports_interface(self, name: str) -> bool:
-        return name in self.interfaces()
+        return name in self.INTERFACES
 
     # -- IDBProperties --------------------------------------------------------
     def set_property(self, name: str, value: object) -> None:
-        self.properties.set(name, value)
+        self.properties[name] = value
 
     def get_property(self, name: str, default: object = None) -> object:
         return self.properties.get(name, default)
@@ -84,12 +87,6 @@ class DataSource:
         return self._make_session()
 
     def _make_session(self):
-        raise NotImplementedError
-
-    # -- IDBInfo (capabilities) -----------------------------------------------
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        """Digested capability descriptor (IDBInfo + extended props)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

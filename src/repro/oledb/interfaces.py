@@ -33,6 +33,12 @@ MANDATORY_DSO_INTERFACES = frozenset(
 #: Table 2: mandatory session interfaces
 MANDATORY_SESSION_INTERFACES = frozenset({IOPEN_ROWSET})
 
+#: Section 3.3's simple provider: "being able to connect and retrieve
+#: named rowsets", nothing more
+SIMPLE_PROVIDER_INTERFACES = (
+    MANDATORY_DSO_INTERFACES | MANDATORY_SESSION_INTERFACES | {IROWSET}
+)
+
 #: everything a fully capable provider may expose
 ALL_INTERFACES = frozenset(
     {

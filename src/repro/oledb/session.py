@@ -8,7 +8,7 @@ for metadata, and transaction enlistment for providers that support it.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import NotSupportedError
 from repro.oledb.interfaces import (
@@ -20,6 +20,7 @@ from repro.oledb.interfaces import (
 from repro.oledb.rowset import MaterializedRowset, Rowset
 from repro.storage.transactions import ResourceManager
 from repro.types.intervals import Interval
+from repro.types.schema import Schema
 
 
 class Session:
@@ -30,19 +31,24 @@ class Session:
     def __init__(self, datasource: Any):
         self.datasource = datasource
 
-    # -- interface discovery ------------------------------------------------
-    def interfaces(self) -> frozenset[str]:
-        return self.datasource.interfaces()
-
-    def supports_interface(self, name: str) -> bool:
-        return name in self.interfaces()
-
     def _require(self, interface: str) -> None:
-        if not self.supports_interface(interface):
+        if not self.datasource.supports_interface(interface):
             raise NotSupportedError(
                 f"{self.datasource.provider_name} does not implement "
                 f"{interface}"
             )
+
+    def deliver(
+        self,
+        schema: Schema,
+        rows: Iterable[tuple[Any, ...]],
+        bookmarks: Optional[Iterable[int]] = None,
+    ) -> Rowset:
+        """The rowset the consumer receives: ``rows`` pass through the
+        data source's channel, which alone decides what they cost."""
+        return Rowset(
+            schema, self.datasource.channel.deliver(rows, schema), bookmarks
+        )
 
     # -- IOpenRowset -----------------------------------------------------------
     def open_rowset(self, table_name: str, **kwargs: Any) -> Rowset:
@@ -81,8 +87,15 @@ class Session:
         )
 
     # -- IDBSchemaRowset ---------------------------------------------------------
-    def schema_rowset(self, which: str) -> MaterializedRowset:
-        """Metadata rowsets: TABLES, COLUMNS, INDEXES, TABLES_INFO."""
+    def schema_rowset(
+        self,
+        which: str,
+        database_name: Optional[str] = None,
+        table_name: Optional[str] = None,
+    ) -> MaterializedRowset:
+        """Metadata rowsets: TABLES, COLUMNS, INDEXES, TABLES_INFO,
+        CHECK_CONSTRAINTS.  ``table_name`` is OLE DB's TABLE_NAME
+        restriction."""
         self._require(IDB_SCHEMA_ROWSET)
         raise NotImplementedError
 

@@ -2,10 +2,10 @@
 
 :class:`TableBackedSession` implements the full IOpenRowset /
 IRowsetIndex / IRowsetLocate / IDBSchemaRowset / histogram surface
-against a :class:`~repro.storage.catalog.Database`, streaming every
+against a :class:`~repro.storage.catalog.Database`, delivering every
 rowset through the provider's network channel so experiments can
-account for bytes moved.  Table-backed providers (SQL Server, ISAM,
-simple) share it and differ only in which interfaces they advertise.
+account for bytes moved.  The table-backed providers (SQL Server,
+ISAM) share it and differ only in which interfaces they advertise.
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ class TableBackedSession(Session):
             table_name, schema_name or "dbo"
         )
 
-    def _stream(self, rows: Iterable[tuple[Any, ...]], schema: Schema):
-        """Pass rows through the network channel unless local."""
-        channel = self.datasource.channel
-        if channel.is_local:
-            return rows
-        return channel.stream_rows(rows, schema)
-
     # -- IOpenRowset -----------------------------------------------------------
     def open_rowset(
         self,
@@ -86,11 +79,7 @@ class TableBackedSession(Session):
         for rid, row in table.scan():
             rids.append(rid)
             rows.append(row)
-        return Rowset(
-            table.schema,
-            self._stream(rows, table.schema),
-            bookmarks=rids,
-        )
+        return self.deliver(table.schema, rows, bookmarks=rids)
 
     # -- IRowsetIndex -----------------------------------------------------------
     def open_index_rowset(
@@ -123,7 +112,7 @@ class TableBackedSession(Session):
             key_columns + [Column("BOOKMARK", BIGINT, nullable=False)]
         )
         rows = (key + (rid,) for key, rid in entries)
-        return Rowset(out_schema, self._stream(rows, out_schema))
+        return self.deliver(out_schema, rows)
 
     # -- IRowsetLocate -----------------------------------------------------------
     def fetch_by_bookmarks(
@@ -136,7 +125,7 @@ class TableBackedSession(Session):
         self._require("IRowsetLocate")
         table = self._table(table_name, schema_name, database_name)
         rows = (table.fetch(rid) for rid in bookmarks)
-        return Rowset(table.schema, self._stream(rows, table.schema))
+        return self.deliver(table.schema, rows)
 
     # -- histogram rowsets (statistics extension) ------------------------------
     def open_histogram_rowset(
@@ -146,8 +135,6 @@ class TableBackedSession(Session):
         schema_name: Optional[str] = None,
         database_name: Optional[str] = None,
     ) -> MaterializedRowset:
-        if not self.datasource.capabilities.supports_statistics:
-            return super().open_histogram_rowset(table_name, column_name)
         table = self._table(table_name, schema_name, database_name)
         column_stats = table.statistics.column(column_name)
         if column_stats is None or column_stats.histogram is None:

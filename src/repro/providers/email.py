@@ -21,13 +21,7 @@ from typing import Any, Dict, Iterable, Optional
 from repro.errors import CatalogError, ConnectionError_
 from repro.network.channel import NetworkChannel
 from repro.oledb.datasource import DataSource
-from repro.oledb.interfaces import (
-    IDB_CREATE_SESSION,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    IOPEN_ROWSET,
-    IROWSET,
-)
+from repro.oledb.interfaces import SIMPLE_PROVIDER_INTERFACES
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.oledb.row_object import ChapteredRowset, RowObject
 from repro.oledb.rowset import Rowset
@@ -117,34 +111,22 @@ class EmailDataSource(DataSource):
     """Provider over one or more registered mail files."""
 
     provider_name = "Microsoft.Mail.OLEDB"
+    INTERFACES = SIMPLE_PROVIDER_INTERFACES
 
     def __init__(
         self,
         mail_files: Iterable[MailFile],
         channel: Optional[NetworkChannel] = None,
     ):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=SqlSupportLevel.NONE,
+                query_language="SQL with hierarchical query extensions",
+                dialect_name="mail",
+            ),
+        )
         self._files = {mf.path.lower(): mf for mf in mail_files}
-        self._capabilities = ProviderCapabilities(
-            sql_support=SqlSupportLevel.NONE,
-            query_language="SQL with hierarchical query extensions",
-            dialect_name="mail",
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IOPEN_ROWSET,
-                IROWSET,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _check_connection(self) -> None:
         if not self._files:
@@ -167,10 +149,7 @@ class EmailSession(Session):
         """``table_name`` is the mail-file path (MakeTable semantics)."""
         mail_file = self.datasource.mail_file(table_name)
         rows = [message.as_row() for message in mail_file.messages]
-        channel = self.datasource.channel
-        if not channel.is_local:
-            return Rowset(MAIL_SCHEMA, channel.stream_rows(rows, MAIL_SCHEMA))
-        return Rowset(MAIL_SCHEMA, iter(rows))
+        return self.deliver(MAIL_SCHEMA, rows)
 
     def open_chaptered_rowset(self, table_name: str) -> ChapteredRowset:
         """Heterogeneous view: row objects + attachment chapters."""

@@ -14,13 +14,7 @@ from typing import Any, Dict, Iterable, Optional
 from repro.errors import CatalogError, ConnectionError_
 from repro.network.channel import NetworkChannel
 from repro.oledb.datasource import DataSource
-from repro.oledb.interfaces import (
-    IDB_CREATE_SESSION,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    IOPEN_ROWSET,
-    IROWSET,
-)
+from repro.oledb.interfaces import SIMPLE_PROVIDER_INTERFACES
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.oledb.rowset import Rowset
 from repro.oledb.session import Session
@@ -52,30 +46,18 @@ class ExcelDataSource(DataSource):
     """Workbook provider: each sheet is a named rowset."""
 
     provider_name = "Microsoft.Jet.OLEDB.Excel"
+    INTERFACES = SIMPLE_PROVIDER_INTERFACES
 
     def __init__(self, workbook: Workbook, channel: Optional[NetworkChannel] = None):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=SqlSupportLevel.NONE,
+                query_language="none",
+                dialect_name="excel",
+            ),
+        )
         self.workbook = workbook
-        self._capabilities = ProviderCapabilities(
-            sql_support=SqlSupportLevel.NONE,
-            query_language="none",
-            dialect_name="excel",
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IOPEN_ROWSET,
-                IROWSET,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _check_connection(self) -> None:
         if not self.workbook.sheet_names():
@@ -100,9 +82,4 @@ class ExcelSession(Session):
             )
             column_type = infer_type(sample) if sample is not None else varchar()
             columns.append(Column(str(name), column_type))
-        schema = Schema(columns)
-        channel = self.datasource.channel
-        rows: Iterable[tuple[Any, ...]] = iter(data)
-        if not channel.is_local:
-            rows = channel.stream_rows(data, schema)
-        return Rowset(schema, rows)
+        return self.deliver(Schema(columns), data)

@@ -30,12 +30,8 @@ from repro.oledb.datasource import DataSource
 from repro.oledb.interfaces import (
     ICOMMAND,
     IDB_CREATE_COMMAND,
-    IDB_CREATE_SESSION,
     IDB_INFO,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    IOPEN_ROWSET,
-    IROWSET,
+    SIMPLE_PROVIDER_INTERFACES,
 )
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.oledb.rowset import MaterializedRowset, Rowset
@@ -73,6 +69,9 @@ class FullTextDataSource(DataSource):
     """DSO bound to one catalog of a :class:`FullTextService`."""
 
     provider_name = "MSIDXS"
+    INTERFACES = SIMPLE_PROVIDER_INTERFACES | {
+        IDB_INFO, IDB_CREATE_COMMAND, ICOMMAND,
+    }
 
     def __init__(
         self,
@@ -80,32 +79,16 @@ class FullTextDataSource(DataSource):
         catalog_name: str,
         channel: Optional[NetworkChannel] = None,
     ):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=SqlSupportLevel.PROPRIETARY,
+                query_language="Index Server Query Language",
+                dialect_name="msidxs",
+            ),
+        )
         self.service = service
         self.catalog_name = catalog_name
-        self._capabilities = ProviderCapabilities(
-            sql_support=SqlSupportLevel.PROPRIETARY,
-            query_language="Index Server Query Language",
-            dialect_name="msidxs",
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IDB_INFO,
-                IOPEN_ROWSET,
-                IDB_CREATE_COMMAND,
-                ICOMMAND,
-                IROWSET,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _check_connection(self) -> None:
         self.service.catalog(self.catalog_name)  # raises if missing
@@ -130,7 +113,7 @@ class FullTextSession(Session):
             self._document_row(path, None, list(_SCOPE_COLUMNS))
             for path in sorted(self.catalog.documents)
         ]
-        return Rowset(schema, iter(rows))
+        return self.deliver(schema, rows)
 
     def _make_command(self) -> "FullTextCommand":
         return FullTextCommand(self)
@@ -200,7 +183,4 @@ class FullTextCommand(Command):
         rows = [
             session._document_row(m.key, m.rank, requested) for m in matches
         ]
-        channel = session.datasource.channel
-        if not channel.is_local:
-            return Rowset(schema, channel.stream_rows(rows, schema))
-        return Rowset(schema, iter(rows))
+        return MaterializedRowset(schema, rows)

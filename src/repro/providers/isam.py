@@ -20,17 +20,7 @@ from typing import Optional
 from repro.errors import ConnectionError_
 from repro.network.channel import NetworkChannel
 from repro.oledb.datasource import DataSource
-from repro.oledb.interfaces import (
-    IDB_CREATE_SESSION,
-    IDB_INFO,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    IDB_SCHEMA_ROWSET,
-    IOPEN_ROWSET,
-    IROWSET,
-    IROWSET_INDEX,
-    IROWSET_LOCATE,
-)
+from repro.oledb.interfaces import ALL_INTERFACES, ICOMMAND, IDB_CREATE_COMMAND
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.providers.base import TableBackedSession
 from repro.storage.catalog import Database
@@ -40,6 +30,8 @@ class IsamDataSource(DataSource):
     """Data source over an .mdb-like database of tables + indexes."""
 
     provider_name = "Microsoft.Jet.OLEDB"
+    #: everything but a command object
+    INTERFACES = ALL_INTERFACES - {IDB_CREATE_COMMAND, ICOMMAND}
 
     def __init__(
         self,
@@ -47,35 +39,18 @@ class IsamDataSource(DataSource):
         channel: Optional[NetworkChannel] = None,
         path: str = "",
     ):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=SqlSupportLevel.NONE,
+                query_language="none (ISAM navigation)",
+                supports_indexes=True,
+                supports_statistics=True,
+                dialect_name="jet",
+            ),
+        )
         self.database = database
         self.path = path
-        self._capabilities = ProviderCapabilities(
-            sql_support=SqlSupportLevel.NONE,
-            query_language="none (ISAM navigation)",
-            supports_indexes=True,
-            supports_statistics=True,
-            dialect_name="jet",
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IDB_INFO,
-                IDB_SCHEMA_ROWSET,
-                IOPEN_ROWSET,
-                IROWSET,
-                IROWSET_INDEX,
-                IROWSET_LOCATE,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _check_connection(self) -> None:
         if self.database is None:

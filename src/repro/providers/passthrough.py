@@ -20,11 +20,9 @@ from repro.oledb.datasource import DataSource
 from repro.oledb.interfaces import (
     ICOMMAND,
     IDB_CREATE_COMMAND,
-    IDB_CREATE_SESSION,
     IDB_INFO,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
     IROWSET,
+    MANDATORY_DSO_INTERFACES,
 )
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.oledb.rowset import Rowset
@@ -38,6 +36,10 @@ class PassThroughDataSource(DataSource):
     """Provider whose only capability is executing opaque commands."""
 
     provider_name = "GENERIC.QUERY"
+    #: commands only: no IOpenRowset, so no named rowsets
+    INTERFACES = MANDATORY_DSO_INTERFACES | {
+        IDB_INFO, IDB_CREATE_COMMAND, ICOMMAND, IROWSET,
+    }
 
     def __init__(
         self,
@@ -46,32 +48,17 @@ class PassThroughDataSource(DataSource):
         channel: Optional[NetworkChannel] = None,
         provider_name: Optional[str] = None,
     ):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=SqlSupportLevel.PROPRIETARY,
+                query_language=query_language,
+                dialect_name="proprietary",
+            ),
+        )
         self._handler = handler
         if provider_name is not None:
             self.provider_name = provider_name
-        self._capabilities = ProviderCapabilities(
-            sql_support=SqlSupportLevel.PROPRIETARY,
-            query_language=query_language,
-            dialect_name="proprietary",
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IDB_INFO,
-                IDB_CREATE_COMMAND,
-                ICOMMAND,
-                IROWSET,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _check_connection(self) -> None:
         if self._handler is None:
@@ -94,10 +81,4 @@ class PassThroughSession(Session):
 
 class PassThroughCommand(Command):
     def _execute(self, text: str) -> Rowset:
-        result = self.session.datasource._handler(text)
-        channel = self.session.datasource.channel
-        if not channel.is_local:
-            return Rowset(
-                result.schema, channel.stream_rows(result, result.schema)
-            )
-        return result
+        return self.session.datasource._handler(text)

@@ -18,13 +18,7 @@ from typing import Any, Dict, Optional
 from repro.errors import CatalogError, ConnectionError_
 from repro.network.channel import NetworkChannel
 from repro.oledb.datasource import DataSource
-from repro.oledb.interfaces import (
-    IDB_CREATE_SESSION,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    IOPEN_ROWSET,
-    IROWSET,
-)
+from repro.oledb.interfaces import SIMPLE_PROVIDER_INTERFACES
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.oledb.rowset import Rowset
 from repro.oledb.session import Session
@@ -83,6 +77,7 @@ class SimpleDataSource(DataSource):
     """Text-file provider: connect + named rowsets, nothing else."""
 
     provider_name = "MSDASQL.TEXT"
+    INTERFACES = SIMPLE_PROVIDER_INTERFACES
 
     def __init__(
         self,
@@ -90,30 +85,17 @@ class SimpleDataSource(DataSource):
         channel: Optional[NetworkChannel] = None,
         delimiter: str = ",",
     ):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=SqlSupportLevel.NONE,
+                query_language="none",
+                dialect_name="text",
+            ),
+        )
         self._files = dict(files)
         self._delimiter = delimiter
         self._parsed: Dict[str, tuple[Schema, list[tuple[Any, ...]]]] = {}
-        self._capabilities = ProviderCapabilities(
-            sql_support=SqlSupportLevel.NONE,
-            query_language="none",
-            dialect_name="text",
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IOPEN_ROWSET,
-                IROWSET,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _check_connection(self) -> None:
         if not self._files:
@@ -142,7 +124,4 @@ class SimpleSession(Session):
 
     def open_rowset(self, table_name: str, **kwargs: Any) -> Rowset:
         schema, rows = self.datasource.parsed_file(table_name)
-        channel = self.datasource.channel
-        if not channel.is_local:
-            return Rowset(schema, channel.stream_rows(rows, schema))
-        return Rowset(schema, iter(rows))
+        return self.deliver(schema, rows)

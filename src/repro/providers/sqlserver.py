@@ -20,25 +20,14 @@ from typing import Any, Optional, Protocol, Sequence
 from repro.network.channel import NetworkChannel
 from repro.oledb.command import Command
 from repro.oledb.datasource import DataSource
-from repro.oledb.interfaces import (
-    ICOMMAND,
-    IDB_CREATE_COMMAND,
-    IDB_CREATE_SESSION,
-    IDB_INFO,
-    IDB_INITIALIZE,
-    IDB_PROPERTIES,
-    IDB_SCHEMA_ROWSET,
-    IOPEN_ROWSET,
-    IROWSET,
-    IROWSET_INDEX,
-    IROWSET_LOCATE,
-)
+from repro.oledb.interfaces import ALL_INTERFACES
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.oledb.rowset import Rowset
 from repro.providers.base import TableBackedSession
 from repro.storage.catalog import Catalog
 from repro.storage.transactions import ResourceManager
 from repro.types.collation import Collation, DEFAULT_COLLATION
+from repro.types.schema import Schema
 
 
 class SqlBackend(Protocol):
@@ -54,6 +43,10 @@ class SqlBackend(Protocol):
         positional ``?`` markers, returning the result rowset."""
         ...
 
+    def describe_sql(self, text: str) -> Schema:
+        """The result schema of a SELECT, bound but not executed."""
+        ...
+
     def begin_transaction(self) -> ResourceManager:
         ...
 
@@ -62,6 +55,8 @@ class SqlServerDataSource(DataSource):
     """Data source object for a SQL-capable server."""
 
     provider_name = "SQLOLEDB"
+    #: the whole Table 2 surface
+    INTERFACES = ALL_INTERFACES
 
     def __init__(
         self,
@@ -74,45 +69,27 @@ class SqlServerDataSource(DataSource):
         provider_name: Optional[str] = None,
         database_name: Optional[str] = None,
     ):
-        super().__init__(channel)
+        super().__init__(
+            channel,
+            ProviderCapabilities(
+                sql_support=sql_support,
+                query_language=(
+                    "Transact-SQL" if dialect_name == "tsql"
+                    else f"SQL ({dialect_name})"
+                ),
+                supports_indexes=True,
+                supports_statistics=True,
+                supports_nested_select=supports_nested_select,
+                supports_parallel_scan=dialect_name == "tsql",
+                supports_transactions=True,
+                collation=collation,
+                dialect_name=dialect_name,
+            ),
+        )
         self.backend = backend
         self.database_name = database_name
         if provider_name is not None:
             self.provider_name = provider_name
-        self._capabilities = ProviderCapabilities(
-            sql_support=sql_support,
-            query_language=(
-                "Transact-SQL" if dialect_name == "tsql" else f"SQL ({dialect_name})"
-            ),
-            supports_indexes=True,
-            supports_statistics=True,
-            supports_nested_select=supports_nested_select,
-            supports_parallel_scan=dialect_name == "tsql",
-            supports_transactions=True,
-            collation=collation,
-            dialect_name=dialect_name,
-        )
-
-    def interfaces(self) -> frozenset[str]:
-        return frozenset(
-            {
-                IDB_INITIALIZE,
-                IDB_CREATE_SESSION,
-                IDB_PROPERTIES,
-                IDB_INFO,
-                IDB_SCHEMA_ROWSET,
-                IOPEN_ROWSET,
-                IDB_CREATE_COMMAND,
-                ICOMMAND,
-                IROWSET,
-                IROWSET_INDEX,
-                IROWSET_LOCATE,
-            }
-        )
-
-    @property
-    def capabilities(self) -> ProviderCapabilities:
-        return self._capabilities
 
     def _make_session(self) -> "SqlServerSession":
         database = self.backend.catalog.database(self.database_name)
@@ -146,23 +123,13 @@ class SqlCommand(Command):
     paper's cost model is designed to minimize.
     """
 
-    def describe(self):
+    def describe(self) -> Schema:
         """Result schema without execution (bind-only on the backend)."""
-        backend = self.session.datasource.backend
-        describe_sql = getattr(backend, "describe_sql", None)
-        if describe_sql is None or self.text is None:
-            raise NotImplementedError
-        return describe_sql(self.text)
+        return self.session.datasource.backend.describe_sql(self.text)
 
     def _execute(self, rendered: str) -> Rowset:
         # the backend gets the marker text and the values, so it parses
         # and plans the text once however many value vectors follow
-        result = self.session.datasource.backend.execute_sql(
+        return self.session.datasource.backend.execute_sql(
             self.text, self.parameters, txn=self.session.active_transaction
-        )
-        channel = self.session.datasource.channel
-        if channel.is_local:
-            return result
-        return Rowset(
-            result.schema, channel.stream_rows(result, result.schema)
         )

@@ -192,13 +192,6 @@ class CircuitBreaker:
             self.last_failure_at_ms = self.clock.now_ms
             self._trip(channel, reason=reason)
 
-    def force_close(self) -> None:
-        with self._lock:
-            self.state = CLOSED
-            self.consecutive_failures = 0
-            self.opened_at_ms = None
-            self._probe_successes = 0
-
     def _trip(self, channel: Any, reason: str) -> None:
         # always called with _lock held
         self.state = OPEN

@@ -707,35 +707,46 @@ class Binder:
         negated: bool,
     ) -> LogicalOp:
         """EXISTS → semi-join; NOT EXISTS → anti-semi-join (Section 4.1.4)."""
-        inner_scope = Scope(parent=scope)
-        subquery = exists.subquery
-        inner_tree = self._bind_source_list(subquery.sources, inner_scope)
-        inner_ids = inner_scope.all_ids()
-        inner_only: list[ScalarExpr] = []
-        correlated: list[ScalarExpr] = []
-        if subquery.where is not None:
-            for conjunct in _ast_conjuncts(subquery.where):
-                bound = self._bind_expr(conjunct, inner_scope)
-                if bound.references() <= inner_ids:
-                    inner_only.append(bound)
-                else:
-                    correlated.append(bound)
-        inner_pred = conjoin(inner_only)
-        if inner_pred is not None:
-            inner_tree = Select(inner_tree, inner_pred)
+        inner_tree, __, correlated = self._bind_subquery_source(
+            exists.subquery, scope
+        )
         kind = JoinKind.ANTI_SEMI if (negated or exists.negated) else JoinKind.SEMI
         return Join(tree, inner_tree, kind, conjoin(correlated))
 
     def _bind_in_subquery(
         self, tree: LogicalOp, in_expr: ast.InExpr, scope: Scope
     ) -> LogicalOp:
-        """``x IN (SELECT y FROM ...)`` → semi-join on x = y."""
+        """``x IN (SELECT y FROM ...)`` → semi-join on x = y;
+        ``x NOT IN (...)`` → anti-semi-join on x = y OR x IS NULL OR
+        y IS NULL, because NOT IN is not TRUE once x or any y is NULL
+        (three-valued logic), and an anti-join drops an outer row as
+        soon as one inner row satisfies its condition."""
         assert in_expr.subquery is not None
         subquery = in_expr.subquery
         if len(subquery.items) != 1 or isinstance(
             subquery.items[0].expr, ast.StarExpr
         ):
             raise BindError("IN subquery must select exactly one column")
+        inner_tree, inner_scope, correlated = self._bind_subquery_source(
+            subquery, scope
+        )
+        operand = self._bind_expr(in_expr.operand, scope)
+        item = self._bind_expr(subquery.items[0].expr, inner_scope)
+        match: ScalarExpr = BinaryOp("=", operand, item)
+        if in_expr.negated:
+            match = BinaryOp(
+                "OR", BinaryOp("OR", match, IsNullOp(operand)), IsNullOp(item)
+            )
+        kind = JoinKind.ANTI_SEMI if in_expr.negated else JoinKind.SEMI
+        return Join(tree, inner_tree, kind, conjoin([match] + correlated))
+
+    def _bind_subquery_source(
+        self, subquery: ast.SelectStmt, scope: Scope
+    ) -> tuple[LogicalOp, Scope, list[ScalarExpr]]:
+        """A WHERE subquery's FROM and WHERE, bound in a scope nested in
+        ``scope``: the inner tree filtered by the conjuncts over its own
+        columns, that scope, and the correlated conjuncts, which become
+        part of the join condition."""
         inner_scope = Scope(parent=scope)
         inner_tree = self._bind_source_list(subquery.sources, inner_scope)
         inner_ids = inner_scope.all_ids()
@@ -751,11 +762,7 @@ class Binder:
         inner_pred = conjoin(inner_only)
         if inner_pred is not None:
             inner_tree = Select(inner_tree, inner_pred)
-        operand = self._bind_expr(in_expr.operand, scope)
-        item = self._bind_expr(subquery.items[0].expr, inner_scope)
-        condition = conjoin([BinaryOp("=", operand, item)] + correlated)
-        kind = JoinKind.ANTI_SEMI if in_expr.negated else JoinKind.SEMI
-        return Join(tree, inner_tree, kind, condition)
+        return inner_tree, inner_scope, correlated
 
     # ------------------------------------------------------------------
     # projection & aggregation
@@ -1041,6 +1048,9 @@ class _CaseExprNode(ScalarExpr):
 
     def children(self) -> tuple[ScalarExpr, ...]:
         return self.parts
+
+    def with_children(self, children: Sequence[ScalarExpr]) -> ScalarExpr:
+        return _CaseExprNode(list(children), self.has_else)
 
     def references(self):
         refs = frozenset()

@@ -428,12 +428,13 @@ def _check_leg(row: "Oracle", world: OracleWorld, case, reference,
         raise
 
 
-def _leaks(world: OracleWorld) -> list[str]:
-    """What the world still holds after a case (empty = quiesce-clean)."""
+def quiesce_leaks(engines: dict[str, Engine]) -> list[str]:
+    """What ``engines`` (host → engine) still hold once every statement
+    has finished (empty = quiesce-clean)."""
     leaks = []
     if current_ledger() is not None:
         leaks.append("a statement ledger is still bound")
-    for host, engine in world.engines.items():
+    for host, engine in engines.items():
         governor = engine.governor
         held = [f"grant {grant!r}" for grant in governor.active_grants()]
         held += [
@@ -655,7 +656,7 @@ class DifferentialRunner:
                         reference = legs[0]
                     _check_leg(row, world, case, reference, legs[-1], leg)
             for config, world in worlds.items():
-                leaks = _leaks(world)
+                leaks = quiesce_leaks(world.engines)
                 if leaks:
                     raise Failure(
                         "leak",

@@ -5,7 +5,7 @@ import datetime as dt
 
 import pytest
 
-from repro import Engine
+from repro import Engine, NetworkChannel, ServerInstance
 from repro.core import physical as P
 from repro.execution import ExecutionContext, execute_plan, open_plan
 
@@ -108,6 +108,58 @@ class TestJoinSemantics:
             join_group.properties.output_ids[1]
         )
         assert len(rows) == len(baseline)
+
+
+class TestSubquerySemantics:
+    """WHERE and CASE subqueries under NULLs.  The differential
+    harness's reference runs the same binder, so the expected rows here
+    are worked out by hand from SQL's three-valued logic."""
+
+    @pytest.fixture(params=["local", "linked"])
+    def tu(self, request):
+        """``t`` local; ``u`` local or behind a linked server."""
+        e = Engine("local")
+        e.execute("CREATE TABLE t (id int, v int)")
+        e.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, NULL)")
+        host = e
+        if request.param == "linked":
+            host = ServerInstance("r0")
+            e.add_linked_server("r0", host, NetworkChannel("wan", latency_ms=1))
+        host.execute("CREATE TABLE u (id int, w int)")
+        host.execute("INSERT INTO u VALUES (1, 10), (2, NULL)")
+        host.execute("CREATE TABLE empty (id int, w int)")
+        prefix = "r0.master.dbo." if request.param == "linked" else ""
+        return e, prefix
+
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            # a NULL in the subquery makes NOT IN unknown for every v
+            ("v NOT IN (SELECT w FROM {p}u)", []),
+            # without it, only v = 20 is TRUE; v = NULL stays unknown
+            ("v NOT IN (SELECT w FROM {p}u WHERE w IS NOT NULL)", [2]),
+            ("v IN (SELECT w FROM {p}u)", [1]),
+            # NOT IN over no rows is TRUE, even for v = NULL
+            ("v NOT IN (SELECT w FROM {p}empty)", [1, 2, 3]),
+            ("NOT EXISTS (SELECT * FROM {p}u x WHERE x.w = t.v)", [2, 3]),
+        ],
+    )
+    def test_where_subquery_rows(self, tu, where, expected):
+        e, prefix = tu
+        rows = e.execute(
+            "SELECT id FROM t WHERE " + where.format(p=prefix)
+        ).rows
+        assert sorted(id_ for (id_,) in rows) == expected
+
+    def test_scalar_subquery_under_case(self):
+        e = Engine("local")
+        e.execute("CREATE TABLE t (id int)")
+        e.execute("INSERT INTO t VALUES (1), (2)")
+        rows = e.execute(
+            "SELECT CASE WHEN id = (SELECT MAX(id) FROM t) THEN 1 ELSE 0 END "
+            "FROM t"
+        ).rows
+        assert sorted(rows) == [(0,), (1,)]
 
 
 class TestSpool:

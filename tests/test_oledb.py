@@ -7,7 +7,6 @@ from repro.oledb import (
     ChapteredRowset,
     MANDATORY_DSO_INTERFACES,
     MaterializedRowset,
-    PropertySet,
     ProviderCapabilities,
     RowObject,
     Rowset,
@@ -81,13 +80,17 @@ class TestRowObjects:
 
 
 class TestProperties:
-    def test_property_set_roundtrip(self):
-        props = PropertySet({"a": 1})
-        props.set("b", 2)
-        assert props.get("a") == 1
-        assert props.get("missing", "d") == "d"
-        assert "b" in props
-        assert props.as_dict() == {"a": 1, "b": 2}
+    def test_idbproperties_roundtrip(self):
+        from repro.providers import SimpleDataSource
+
+        ds = SimpleDataSource({"f.csv": "a\n1"})
+        ds.set_property("DBPROP_INIT_DATASOURCE", "f.csv")
+        ds.set_property("DBPROP_INIT_DATASOURCE", "g.csv")
+        assert ds.get_property("DBPROP_INIT_DATASOURCE") == "g.csv"
+        assert ds.get_property("missing", "d") == "d"
+        assert SimpleDataSource({"f.csv": "a\n1"}).get_property(
+            "DBPROP_INIT_DATASOURCE"
+        ) is None
 
     def test_sql_levels_ordered(self):
         assert SqlSupportLevel.SQL92_FULL > SqlSupportLevel.SQL_MINIMUM

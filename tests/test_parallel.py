@@ -7,9 +7,12 @@ determinism across DOP levels, order preservation under GatherMerge,
 latency-hiding accounting (``parallel_saved_ms``), plan-fingerprint
 invariance to DOP, worker-side fault injection (transient faults masked
 by in-worker retries; a down member mid-scan triggering the bounded
-replan), cancellation on first error, single breaker trip under
+replan), cancellation on first error (for GatherMerge too, which must
+leave the engines quiesce-clean), single breaker trip under
 concurrent workers, and ``parallel_branch`` span attribution.
 """
+
+import threading
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro import (
 from repro.core import physical as P
 from repro.errors import ParseError, ServerUnavailableError, SqlError
 from repro.testcheck import worlds
+from repro.testcheck.oracle import quiesce_leaks
 from repro.workloads.tpcc import build_federation
 
 pytestmark = pytest.mark.integration
@@ -265,6 +269,31 @@ class TestWorkerFaults:
         channels[1993].fault_injector = FaultInjector(down=True)
         with pytest.raises(ServerUnavailableError):
             local.execute("SELECT l_orderkey FROM lineitem")
+
+    def test_gather_merge_branch_failure_aborts_cleanly(self, pv_world):
+        """A down member under an ordered exchange: the merge cancels
+        and drains the other branches, raises the branch's error, and
+        leaves no worker, grant or in-flight statement behind."""
+        local, channels = pv_world
+        local.replan_on_failure = False
+        local.execute("SET PARALLEL_DOP 4")
+        query = (
+            "SELECT l_orderkey, l_qty FROM lineitem ORDER BY l_qty, l_orderkey"
+        )
+        assert _plan_ops(local.plan(query).plan, P.GatherMerge)
+        channels[1993].fault_injector = FaultInjector(down=True)
+        with pytest.raises(ServerUnavailableError):
+            local.execute(query)
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("gather-merge-")
+        ]
+        engines = {"local": local}
+        engines.update(
+            (name, local.linked_server(name).datasource.backend)
+            for name in ("srv1992", "srv1993", "srv1994")
+        )
+        assert quiesce_leaks(engines) == []
 
     def test_concurrent_workers_trip_breaker_once(self):
         """Two branches of one exchange hit the same down server: the

@@ -241,6 +241,39 @@ class TestFullTextProvider:
         rs = session.open_rowset("SCOPE()")
         assert len(rs.fetch_all()) == 2
 
+    def test_scope_rowset_is_charged_like_command_rows(self):
+        """SCOPE() rows cross the provider's channel, as command rows
+        do: bytes received and one batch round trip."""
+        svc = FullTextService()
+        svc.create_catalog("lit", "filesystem").index_directory(
+            {
+                "d:/lit/one.txt": "query processing",
+                "d:/lit/two.txt": "query optimizer",
+                "d:/lit/six.txt": "query engine",
+            }
+        )
+        by_command = NetworkChannel("wan", latency_ms=5)
+        ds = FullTextDataSource(svc, "lit", channel=by_command)
+        ds.initialize()
+        cmd = ds.create_session().create_command()
+        cmd.set_text("SELECT Path, Size FROM SCOPE() WHERE CONTAINS('query')")
+        assert len(cmd.execute().fetch_all()) == 3
+        # three rows of Path (14 chars + 2) and Size (4), one batch
+        assert by_command.stats.bytes_received == 60
+        assert by_command.stats.round_trips == 2  # the command + the batch
+
+        by_scope = NetworkChannel("wan", latency_ms=5)
+        ds = FullTextDataSource(svc, "lit", channel=by_scope)
+        ds.initialize()
+        rowset = ds.create_session().open_rowset("SCOPE()")
+        rows = rowset.fetch_all()
+        assert len(rows) == 3
+        assert by_scope.stats.bytes_received == sum(
+            rowset.schema.row_width(row) for row in rows
+        ) > 0
+        assert by_scope.stats.round_trips == 1
+        assert by_scope.stats.simulated_ms >= 5
+
     def test_non_scope_rowset_rejected(self):
         session = self._ds().create_session()
         with pytest.raises(ProviderError):

@@ -9,13 +9,16 @@ Fails (exit 1) when:
   ``docs/FAULT_MODEL.md`` is missing, or
 * ``README.md`` lacks a "Testing" section, or its link to
   ``docs/TESTING.md`` is missing, or ``docs/TESTING.md`` does not
-  document the oracle matrix and the seed-repro workflow, or
+  name every oracle of ``repro.testcheck.oracle.ORACLES`` or show the
+  seed-repro workflow, or
+* some ``sys.<view>`` of ``repro.observability.views`` is named in no
+  file under ``docs/``, or
 * ``docs/FAULT_MODEL.md`` does not document the 2PC protocol (state
   machine, coordinator log, crash-point matrix, in-doubt recovery), or
 * ``README.md`` lacks an "Observability" section, or its link to
   ``docs/OBSERVABILITY.md`` is missing, or ``docs/OBSERVABILITY.md``
-  does not document the span model, the Query Store views, plan
-  forcing, and the session / plan-cache DMVs and counters, or
+  does not document the span model, plan forcing, and the session /
+  plan-cache counters, or
 * ``README.md`` lacks an "Architecture" section, or its link to
   ``docs/ARCHITECTURE.md`` is missing, or ``docs/ARCHITECTURE.md``
   does not cover the module map, the life of a query, the parallel
@@ -23,8 +26,8 @@ Fails (exit 1) when:
   lifecycle, or
 * ``README.md`` lacks a "Resource Governor" section, or its link to
   ``docs/GOVERNOR.md`` is missing, or ``docs/GOVERNOR.md`` does not
-  document pools, workload groups, the grant lifecycle, the shedding
-  error taxonomy, and the governor DMVs.
+  document pools, workload groups, the grant lifecycle and the
+  shedding error taxonomy.
 
 External links (http/https/mailto) and intra-page anchors are not
 checked — only the repo-relative ones we can verify offline.
@@ -37,6 +40,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.observability.views import system_view_names  # noqa: E402
+from repro.testcheck.oracle import ORACLES  # noqa: E402
+
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
@@ -93,21 +101,29 @@ def check_testing_doc() -> list[str]:
     if not path.exists():
         return ["docs/TESTING.md: missing"]
     text = path.read_text(encoding="utf-8")
-    problems = []
-    # the oracle matrix: every configuration must be documented
-    for config in ("`local`", "`distributed`", "`ablated`", "`faulted`",
-                   "`traced`", "`parallel`", "`cached`", "`governed`",
-                   "`partial`", "`atomic`"):
-        if config not in text:
-            problems.append(
-                f"docs/TESTING.md: oracle matrix missing {config}"
-            )
+    problems = [
+        f"docs/TESTING.md: oracle matrix missing `{oracle.name}`"
+        for oracle in ORACLES
+        if f"`{oracle.name}`" not in text
+    ]
     # the seed-repro workflow and the regenerator must be shown
     for needle in ("--repro", "tools/update_golden.py", "tests/golden",
                    "--atomic"):
         if needle not in text:
             problems.append(f"docs/TESTING.md: missing '{needle}'")
     return problems
+
+
+def check_system_views_documented() -> list[str]:
+    docs = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "docs").rglob("*.md"))
+    )
+    return [
+        f"docs/: no file documents sys.{view}"
+        for view in system_view_names()
+        if f"sys.{view}" not in docs
+    ]
 
 
 def check_fault_model_doc() -> list[str]:
@@ -141,16 +157,10 @@ def check_observability_doc() -> list[str]:
         return ["docs/OBSERVABILITY.md: missing"]
     text = path.read_text(encoding="utf-8")
     problems = []
-    # the span model, the full query-store DMV surface, and the
-    # session / plan-cache telemetry must stay documented
+    # the span model and the session / plan-cache telemetry must stay
+    # documented
     for needle in (
         "remote_command",
-        "sys.query_store_query",
-        "sys.query_store_plan",
-        "sys.query_store_runtime_stats",
-        "sys.query_store_regressions",
-        "sys.dm_exec_cached_plans",
-        "sys.dm_exec_sessions",
         "plan_cache_hit",
         "plan_cache.hits",
         "session_id",
@@ -203,8 +213,7 @@ def check_governor_doc() -> list[str]:
     text = path.read_text(encoding="utf-8")
     problems = []
     # the governed-execution contract: the object model, the statement
-    # envelope, the shedding taxonomy, and the DMV surface must stay
-    # documented
+    # envelope and the shedding taxonomy must stay documented
     for needle in (
         "ResourcePool",
         "WorkloadGroup",
@@ -213,9 +222,6 @@ def check_governor_doc() -> list[str]:
         "request_timeout_ms",
         "AdmissionTimeoutError",
         "GrantTimeoutError",
-        "sys.dm_resource_governor_resource_pools",
-        "sys.dm_resource_governor_workload_groups",
-        "sys.dm_exec_query_memory_grants",
         "governor.admitted",
         "engine.close()",
         "`governed`",
@@ -232,6 +238,7 @@ def main() -> int:
         problems += check_links(path)
     problems += check_readme()
     problems += check_testing_doc()
+    problems += check_system_views_documented()
     problems += check_fault_model_doc()
     problems += check_observability_doc()
     problems += check_architecture_doc()
