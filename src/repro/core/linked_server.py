@@ -34,6 +34,7 @@ from repro.oledb.session import Session
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.stats.table_stats import ColumnStatistics
 from repro.storage.btree import IndexMetadata
+from repro.storage.constraints import intersect_domains
 from repro.types.datatypes import (
     BIGINT,
     BOOL,
@@ -352,15 +353,13 @@ class LinkedServer:
                     unique=entries[0][2],
                 )
             )
-        check_domains: Dict[str, IntervalSet] = {}
-        for (tname, __, column_name, domain, __text) in session.schema_rowset(
-            "CHECK_CONSTRAINTS", database_name=database, table_name=table_name
-        ):
-            if tname.lower() == target and column_name and domain is not None:
-                existing = check_domains.get(column_name.lower())
-                check_domains[column_name.lower()] = (
-                    domain if existing is None else existing.intersect(domain)
-                )
+        check_domains = intersect_domains(
+            (column_name, domain)
+            for (tname, __, column_name, domain, __text) in session.schema_rowset(
+                "CHECK_CONSTRAINTS", database_name=database, table_name=table_name
+            )
+            if tname.lower() == target and column_name and domain is not None
+        )
         return RemoteTableInfo(
             table_name,
             Schema(columns),

@@ -48,7 +48,11 @@ from repro.algebra.logical import (
     Values,
 )
 from repro.core import physical as P
-from repro.core.constraints import startup_conjuncts
+from repro.core.constraints import (
+    derive_domains,
+    parameter_comparisons,
+    startup_conjuncts,
+)
 from repro.core.cost import CostModel
 from repro.core.decoder import Decoder
 from repro.core.memo import Group, GroupExpression, Memo
@@ -64,10 +68,14 @@ from repro.types.intervals import IntervalSet
 #: a required physical property: ordered (cid, ascending) keys
 RequiredSort = tuple[tuple[int, bool], ...]
 
+#: after finishing phase p, stop if best cost <= PHASE_THRESHOLDS[p]
+#: (phase 0 exits only for OLTP-cheap plans; phase 1 for plans already
+#: dominated by fixed remote latency)
+PHASE_THRESHOLDS: Dict[int, float] = {0: 0.1, 1: 5.0}
+
 
 class OptimizerOptions:
-    """Feature switches and phase thresholds (ablation experiments and
-    E9/E10 flip these)."""
+    """Feature switches (ablation experiments and E9/E10 flip these)."""
 
     def __init__(
         self,
@@ -76,7 +84,6 @@ class OptimizerOptions:
         enable_parameterization: bool = True,
         enable_predicate_split: bool = True,
         enable_spool: bool = True,
-        enable_merge_join: bool = True,
         enable_index_paths: bool = True,
         enable_fulltext_paths: bool = True,
         enable_static_pruning: bool = True,
@@ -84,14 +91,12 @@ class OptimizerOptions:
         enable_partial_aggregation: bool = True,
         prefer_largest_remote_subtree: bool = False,
         max_phase: int = 2,
-        phase_thresholds: Optional[Dict[int, float]] = None,
     ):
         self.enable_remote_query = enable_remote_query
         self.enable_locality_grouping = enable_locality_grouping
         self.enable_parameterization = enable_parameterization
         self.enable_predicate_split = enable_predicate_split
         self.enable_spool = enable_spool
-        self.enable_merge_join = enable_merge_join
         self.enable_index_paths = enable_index_paths
         self.enable_fulltext_paths = enable_fulltext_paths
         self.enable_static_pruning = enable_static_pruning
@@ -104,10 +109,6 @@ class OptimizerOptions:
         #: on the heuristics of pushing the largest sub-tree")
         self.prefer_largest_remote_subtree = prefer_largest_remote_subtree
         self.max_phase = max_phase
-        #: after finishing phase p, stop if best cost <= thresholds[p]
-        #: (phase 0 exits only for OLTP-cheap plans; phase 1 for plans
-        #: already dominated by fixed remote latency)
-        self.phase_thresholds = phase_thresholds or {0: 0.1, 1: 5.0}
 
 
 class PhaseStats:
@@ -273,7 +274,7 @@ class Optimizer:
             best = self._optimize_group(root_group, ())
             self._stats.best_cost = best.cost
             phase_stats.append(self._stats)
-            threshold = self.options.phase_thresholds.get(phase)
+            threshold = PHASE_THRESHOLDS.get(phase)
             if (
                 phase < self.options.max_phase
                 and threshold is not None
@@ -380,9 +381,9 @@ class Optimizer:
             # order-preserving operators may satisfy the requirement by
             # requesting ordered children (required-property pushdown)
             for expr in list(group.expressions):
-                pushed = self._implement_with_pushed_sort(expr, required, group)
-                if pushed is not None:
-                    alternatives.append(pushed)
+                alternatives.extend(
+                    self._implement_expression(expr, group, required)
+                )
             ordered = [
                 plan
                 for plan in alternatives
@@ -397,87 +398,6 @@ class Optimizer:
         group.winners[key] = winner
         return winner
 
-    def _implement_with_pushed_sort(
-        self, expr: GroupExpression, required: RequiredSort, group: Group
-    ) -> Optional[P.PhysicalOp]:
-        """Build an ordered variant of an order-preserving unary op by
-        requiring the sort from its child."""
-        op = expr.op
-        props = group.properties
-        if isinstance(op, Select):
-            child = self._optimize_group(expr.children[0], required)
-            startup, residual = startup_conjuncts(op.predicate)
-            plan: P.PhysicalOp = child
-            if residual:
-                node = P.Filter(plan, conjoin(residual))
-                node.est_rows = props.cardinality
-                node.cost = plan.cost + self.cost_model.filter(
-                    expr.children[0].properties.cardinality, len(residual)
-                )
-                plan = node
-            return self._wrap_startup(plan, startup, props)
-        if isinstance(op, Project):
-            # the requirement is over output ids; map through pass-through
-            # columns to child ids
-            mapping = {
-                cid: e.cid
-                for cid, e in op.outputs
-                if isinstance(e, ColumnRef)
-            }
-            child_required = []
-            for cid, ascending in required:
-                if cid not in mapping:
-                    return None
-                child_required.append((mapping[cid], ascending))
-            child = self._optimize_group(
-                expr.children[0], tuple(child_required)
-            )
-            node = P.ComputeProject(child, op.outputs)
-            node.est_rows = props.cardinality
-            node.cost = child.cost + self.cost_model.project(
-                props.cardinality, len(op.outputs)
-            )
-            return node
-        if isinstance(op, Top):
-            child = self._optimize_group(expr.children[0], required)
-            node = P.PhysicalTop(child, op.count)
-            node.est_rows = min(float(op.count), child.est_rows)
-            node.cost = child.cost + node.est_rows * self.cost_model.cpu_row_ms
-            return node
-        if isinstance(op, UnionAll) and self.parallel_dop > 1:
-            # ordered parallel union: require the sort from every branch
-            # (mapped through its branch map) and merge on the consumer
-            children: list[P.PhysicalOp] = []
-            for child_group, branch_map in zip(expr.children, op.branch_maps):
-                child_required = []
-                for cid, ascending in required:
-                    mapped = branch_map.get(cid)
-                    if mapped is None:
-                        return None
-                    child_required.append((mapped, ascending))
-                children.append(
-                    self._optimize_group(child_group, tuple(child_required))
-                )
-            if len(children) < 2:
-                return None
-            if sum(1 for c in children if _contains_remote(c)) < 2:
-                return None
-            keys = [SortKeySpec(cid, ascending) for cid, ascending in required]
-            node = P.GatherMerge(
-                children, op.output_defs, op.branch_maps, keys,
-                self.parallel_dop,
-            )
-            node.est_rows = props.cardinality
-            node.cost = (
-                self.cost_model.parallel_union(
-                    [c.cost for c in children], self.parallel_dop
-                )
-                + self.cost_model.project(props.cardinality, 1)
-                + props.cardinality * self.cost_model.cpu_row_ms
-            )
-            return node
-        return None
-
     def _enforce_sort(
         self, plan: P.PhysicalOp, required: RequiredSort, group: Group
     ) -> P.PhysicalOp:
@@ -491,52 +411,44 @@ class Optimizer:
 
     # ------------------------------------------------------------------
     def _implement_expression(
-        self, expr: GroupExpression, group: Group
+        self,
+        expr: GroupExpression,
+        group: Group,
+        required: RequiredSort = (),
     ) -> list[P.PhysicalOp]:
+        """The physical alternatives of one logical expression whose
+        output is ``required`` in order (``()``: in any order).
+
+        Select, Top and UnionAll pass the order on to their children and
+        Project maps it through its pass-through columns; every other
+        operator offers nothing under an order and leaves it to the
+        sort enforcer.
+        """
         op = expr.op
         props = group.properties
-        if isinstance(op, Get):
-            return self._implement_get(op, props)
         if isinstance(op, Select):
-            return self._implement_select(op, expr, props)
+            return self._implement_select(op, expr, props, required)
         if isinstance(op, Project):
-            return self._implement_project(op, expr, props)
-        if isinstance(op, Join):
-            return self._implement_join(op, expr, props)
-        if isinstance(op, Aggregate):
-            return self._implement_aggregate(op, expr, props)
-        if isinstance(op, Sort):
-            required = tuple((k.cid, k.ascending) for k in op.keys)
-            return [self._optimize_group(expr.children[0], required)]
+            return self._implement_project(op, expr, props, required)
         if isinstance(op, Top):
-            child = self._optimize_group(expr.children[0], ())
+            child = self._optimize_group(expr.children[0], required)
             node = P.PhysicalTop(child, op.count)
             node.est_rows = min(float(op.count), child.est_rows)
             node.cost = child.cost + node.est_rows * self.cost_model.cpu_row_ms
             return [node]
         if isinstance(op, UnionAll):
-            children = [self._optimize_group(c, ()) for c in expr.children]
-            node = P.Concat(children, op.output_defs, op.branch_maps)
-            node.est_rows = props.cardinality
-            node.cost = sum(c.cost for c in children) + self.cost_model.project(
-                props.cardinality, 1
-            )
-            alternatives = [node]
-            if (
-                self.parallel_dop > 1
-                and len(children) >= 2
-                and sum(1 for c in children if _contains_remote(c)) >= 2
-            ):
-                gather = P.Gather(
-                    children, op.output_defs, op.branch_maps,
-                    self.parallel_dop,
-                )
-                gather.est_rows = props.cardinality
-                gather.cost = self.cost_model.parallel_union(
-                    [c.cost for c in children], self.parallel_dop
-                ) + self.cost_model.project(props.cardinality, 1)
-                alternatives.append(gather)
-            return alternatives
+            return self._implement_union(op, expr, props, required)
+        if required:
+            return []
+        if isinstance(op, Get):
+            return self._implement_get(op, props)
+        if isinstance(op, Join):
+            return self._implement_join(op, expr, props)
+        if isinstance(op, Aggregate):
+            return self._implement_aggregate(op, expr, props)
+        if isinstance(op, Sort):
+            keys = tuple((k.cid, k.ascending) for k in op.keys)
+            return [self._optimize_group(expr.children[0], keys)]
         if isinstance(op, Values):
             node = P.ConstScan(op.rows, op.column_defs)
             node.est_rows = float(len(op.rows))
@@ -600,14 +512,16 @@ class Optimizer:
         return out
 
     def _implement_select(
-        self, op: Select, expr: GroupExpression, props: GroupProperties
+        self,
+        op: Select,
+        expr: GroupExpression,
+        props: GroupProperties,
+        required: RequiredSort,
     ) -> list[P.PhysicalOp]:
         child_group = expr.children[0]
-        out: list[P.PhysicalOp] = []
         startup, residual = startup_conjuncts(op.predicate)
-        # base: filter over the best child plan
-        child_plan = self._optimize_group(child_group, ())
-        plan: P.PhysicalOp = child_plan
+        # base: filter over the best child plan in the required order
+        plan: P.PhysicalOp = self._optimize_group(child_group, required)
         if residual:
             node = P.Filter(plan, conjoin(residual))
             node.est_rows = props.cardinality
@@ -616,8 +530,11 @@ class Optimizer:
                 _conjunct_weight(residual),
             )
             plan = node
-        plan = self._wrap_startup(plan, startup, props)
-        out.append(plan)
+        out = [self._wrap_startup(plan, startup, props)]
+        if required:
+            # index and full-text paths take no order from a child: the
+            # enforcer sorts them, or an index range already provides it
+            return out
         # index access paths
         if self.options.enable_index_paths:
             out.extend(
@@ -653,16 +570,16 @@ class Optimizer:
         startup: list[ScalarExpr],
         residual: list[ScalarExpr],
     ) -> list[P.PhysicalOp]:
-        from repro.core.constraints import derive_domains, parameter_comparisons
-
         out: list[P.PhysicalOp] = []
         get = _find_get(child_group)
         if get is None:
             return out
         table = get.table
-        residual_pred_all = conjoin(residual) if residual else None
-        domains = derive_domains(residual_pred_all)
-        param_probes = parameter_comparisons(residual_pred_all)
+        # every range keeps the whole residual (conservative: no
+        # conjunct is assumed captured by the index domain)
+        residual_pred = conjoin(residual) if residual else None
+        domains = derive_domains(residual_pred)
+        param_probes = parameter_comparisons(residual_pred)
         if not domains and not param_probes:
             return out
         cid_by_name = {d.name.lower(): d.cid for d in table.columns}
@@ -689,9 +606,6 @@ class Optimizer:
             has_probe = not remote and key_cid in probes_by_cid
             if not has_domain and not has_probe:
                 continue
-            # residual keeps every conjunct except the ones the domain
-            # fully captures (conservative: keep all, correctness first)
-            residual_pred = conjoin(residual) if residual else None
             table_rows = child_group.properties.cardinality
             selected = props.cardinality
             if remote:
@@ -709,8 +623,6 @@ class Optimizer:
                     + self._health_penalty(table.server)
                 )
             else:
-                from repro.types.intervals import IntervalSet
-
                 domain = domains.get(key_cid, IntervalSet.full())
                 probe = probes_by_cid.get(key_cid) if has_probe else None
                 node = P.IndexRange(
@@ -792,15 +704,87 @@ class Optimizer:
         return out
 
     def _implement_project(
-        self, op: Project, expr: GroupExpression, props: GroupProperties
+        self,
+        op: Project,
+        expr: GroupExpression,
+        props: GroupProperties,
+        required: RequiredSort,
     ) -> list[P.PhysicalOp]:
-        child = self._optimize_group(expr.children[0], ())
+        child_required: Optional[RequiredSort] = required
+        if required:
+            # the order is over output ids: only pass-through columns
+            # carry it to the child
+            child_required = _map_order(
+                required,
+                {cid: e.cid for cid, e in op.outputs if isinstance(e, ColumnRef)},
+            )
+            if child_required is None:
+                return []
+        child = self._optimize_group(expr.children[0], child_required)
         node = P.ComputeProject(child, op.outputs)
         node.est_rows = props.cardinality
         node.cost = child.cost + self.cost_model.project(
             props.cardinality, len(op.outputs)
         )
         return [node]
+
+    def _implement_union(
+        self,
+        op: UnionAll,
+        expr: GroupExpression,
+        props: GroupProperties,
+        required: RequiredSort,
+    ) -> list[P.PhysicalOp]:
+        # an ordered union exists only as a parallel merge; at DOP 1 the
+        # enforcer sorts the concatenation and no branch is optimized
+        # under the order
+        if required and self.parallel_dop <= 1:
+            return []
+        children: list[P.PhysicalOp] = []
+        for child_group, branch_map in zip(expr.children, op.branch_maps):
+            child_required = _map_order(required, branch_map) if required else ()
+            if child_required is None:
+                return []
+            children.append(self._optimize_group(child_group, child_required))
+        parallel = (
+            self.parallel_dop > 1
+            and len(children) >= 2
+            and sum(1 for c in children if _contains_remote(c)) >= 2
+        )
+        if required:
+            if not parallel:
+                return []
+            keys = [SortKeySpec(cid, ascending) for cid, ascending in required]
+            merge = P.GatherMerge(
+                children, op.output_defs, op.branch_maps, keys,
+                self.parallel_dop,
+            )
+            merge.est_rows = props.cardinality
+            merge.cost = (
+                self.cost_model.parallel_union(
+                    [c.cost for c in children], self.parallel_dop
+                )
+                + self.cost_model.project(props.cardinality, 1)
+                + props.cardinality * self.cost_model.cpu_row_ms
+            )
+            return [merge]
+        node = P.Concat(children, op.output_defs, op.branch_maps)
+        node.est_rows = props.cardinality
+        node.cost = sum(c.cost for c in children) + self.cost_model.project(
+            props.cardinality, 1
+        )
+        alternatives: list[P.PhysicalOp] = [node]
+        if parallel:
+            gather = P.Gather(
+                children, op.output_defs, op.branch_maps,
+                self.parallel_dop,
+            )
+            gather.est_rows = props.cardinality
+            gather.cost = self.cost_model.parallel_union(
+                [c.cost for c in children], self.parallel_dop
+            ) + self.cost_model.project(props.cardinality, 1)
+            alternatives.append(gather)
+        return alternatives
 
     # ------------------------------------------------------------------
     def _implement_join(
@@ -856,8 +840,7 @@ class Optimizer:
             out.append(node)
         # merge join (phase 2): single equi key
         if (
-            self.options.enable_merge_join
-            and self.phase >= 2
+            self.phase >= 2
             and len(equi) == 1
             and op.kind in (JoinKind.INNER, JoinKind.SEMI, JoinKind.ANTI_SEMI)
         ):
@@ -997,7 +980,7 @@ class Optimizer:
             child_group.properties.cardinality, props.cardinality
         )
         out.append(node)
-        if op.group_by and self.options.enable_merge_join and self.phase >= 2:
+        if op.group_by and self.phase >= 2:
             required = tuple((cid, True) for cid in op.group_by)
             sorted_child = self._optimize_group(child_group, required)
             stream = P.StreamAggregate(sorted_child, op.group_by, op.aggregates)
@@ -1092,6 +1075,21 @@ def _sort_satisfies(
     provided: tuple[tuple[int, bool], ...], required: RequiredSort
 ) -> bool:
     return provided[: len(required)] == tuple(required)
+
+
+def _map_order(
+    required: RequiredSort, mapping: Dict[int, int]
+) -> Optional[RequiredSort]:
+    """``required`` restated over a child's column ids through
+    ``mapping`` (parent id -> child id), or None when some key has no
+    child column."""
+    mapped = []
+    for cid, ascending in required:
+        child_cid = mapping.get(cid)
+        if child_cid is None:
+            return None
+        mapped.append((child_cid, ascending))
+    return tuple(mapped)
 
 
 def _contains_remote(plan: P.PhysicalOp) -> bool:

@@ -1,11 +1,14 @@
 """Group (logical) properties (Section 4.1.1).
 
 "Group Properties ... represent information about all of the
-alternatives within a group": output columns, cardinality estimate, and
-constraint (domain) properties.  We additionally track *locality* — the
-set of servers a subtree touches — which powers the remote rules
-("grouping joins based on locality") and the build-remote-query
-implementation rule.
+alternatives within a group": output columns and the cardinality
+estimate.  We additionally track *locality* — the set of servers a
+subtree touches — which powers the remote rules ("grouping joins based
+on locality") and the build-remote-query implementation rule.
+Constraint (domain) properties are not carried here: static pruning
+and startup filters read them from the logical tree during
+normalization (``normalization._base_domains``), before the memo
+exists.
 
 Properties are derived once per memo group from any of its logical
 expressions (alternatives in a group are logically equivalent, so any
@@ -43,7 +46,6 @@ from repro.algebra.logical import (
     UnionAll,
     Values,
 )
-from repro.core.constraints import derive_domains
 from repro.stats.estimator import (
     DEFAULT_EQUALITY_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
@@ -51,7 +53,6 @@ from repro.stats.estimator import (
     estimate_join_selectivity,
 )
 from repro.stats.table_stats import ColumnStatistics
-from repro.types.intervals import IntervalSet
 
 #: marker for the local server in locality sets
 LOCAL = "<local>"
@@ -92,7 +93,6 @@ class GroupProperties:
         "row_width",
         "servers",
         "column_stats",
-        "domains",
     )
 
     def __init__(
@@ -102,14 +102,12 @@ class GroupProperties:
         row_width: float,
         servers: frozenset[str],
         column_stats: Dict[ColumnId, Optional[ColumnStatsRef]],
-        domains: Dict[ColumnId, IntervalSet],
     ):
         self.output_ids = output_ids
         self.cardinality = max(0.0, cardinality)
         self.row_width = max(1.0, row_width)
         self.servers = servers
         self.column_stats = column_stats
-        self.domains = domains
 
     def column_statistics(self, cid: ColumnId) -> Optional[ColumnStatistics]:
         """Statistics of one output column — the only way estimates
@@ -125,10 +123,6 @@ class GroupProperties:
             if server != LOCAL:
                 return server
         return None
-
-    @property
-    def bytes_estimate(self) -> float:
-        return self.cardinality * self.row_width
 
     def __repr__(self) -> str:
         return (
@@ -162,7 +156,6 @@ def derive_properties(
             child.row_width,
             child.servers,
             child.column_stats,
-            child.domains,
         )
     if isinstance(op, Top):
         child = children[0]
@@ -172,18 +165,17 @@ def derive_properties(
             child.row_width,
             child.servers,
             child.column_stats,
-            child.domains,
         )
     if isinstance(op, UnionAll):
         return _union_properties(op, children)
     if isinstance(op, Values):
         width = 8.0 * max(1, len(op.column_defs))
         return GroupProperties(
-            op.output_ids(), float(len(op.rows)), width, frozenset({LOCAL}), {}, {}
+            op.output_ids(), float(len(op.rows)), width, frozenset({LOCAL}), {}
         )
     if isinstance(op, EmptyTable):
         return GroupProperties(
-            op.output_ids(), 0.0, 1.0, frozenset({LOCAL}), {}, {}
+            op.output_ids(), 0.0, 1.0, frozenset({LOCAL}), {}
         )
     if isinstance(op, ProviderRowset):
         width = sum(d.type.byte_width() for d in op.column_defs) or 16.0
@@ -192,7 +184,6 @@ def derive_properties(
             op.cardinality_hint,
             width,
             frozenset({f"<provider:{op.label}>"}),
-            {},
             {},
         )
     raise TypeError(f"no property derivation for {type(op).__name__}")
@@ -204,8 +195,6 @@ def derive_properties(
 def _get_properties(op: Get) -> GroupProperties:
     table = op.table
     column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = {}
-    domains: Dict[ColumnId, IntervalSet] = {}
-    name_to_cid = {d.name.lower(): d.cid for d in table.columns}
     if table.local_table is not None:
         local = table.local_table
         cardinality = float(local.row_count)
@@ -234,13 +223,9 @@ def _get_properties(op: Get) -> GroupProperties:
     else:
         cardinality = 1000.0
         row_width = 64.0
-    for column_name, domain in table.check_domains.items():
-        cid = name_to_cid.get(column_name.lower())
-        if cid is not None and domain is not None:
-            domains[cid] = domain
     servers = frozenset({table.server if table.server else LOCAL})
     return GroupProperties(
-        op.output_ids(), cardinality, row_width, servers, column_stats, domains
+        op.output_ids(), cardinality, row_width, servers, column_stats
     )
 
 
@@ -311,29 +296,21 @@ def _conjunct_selectivity(conjunct: ScalarExpr, props: GroupProperties) -> float
 
 def _select_properties(op: Select, child: GroupProperties) -> GroupProperties:
     selectivity = predicate_selectivity(op.predicate, child)
-    domains = dict(child.domains)
-    for cid, domain in derive_domains(op.predicate).items():
-        existing = domains.get(cid)
-        domains[cid] = domain if existing is None else existing.intersect(domain)
     return GroupProperties(
         child.output_ids,
         child.cardinality * selectivity,
         child.row_width,
         child.servers,
         child.column_stats,
-        domains,
     )
 
 
 def _project_properties(op: Project, child: GroupProperties) -> GroupProperties:
     column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = {}
-    domains: Dict[ColumnId, IntervalSet] = {}
     width = 0.0
     for cid, expr in op.outputs:
         if isinstance(expr, ColumnRef):
             column_stats[cid] = child.column_stats.get(expr.cid)
-            if expr.cid in child.domains:
-                domains[cid] = child.domains[expr.cid]
         width += expr.type.byte_width() if hasattr(expr.type, "byte_width") else 8.0
     return GroupProperties(
         op.output_ids(),
@@ -341,7 +318,6 @@ def _project_properties(op: Project, child: GroupProperties) -> GroupProperties:
         max(8.0, width),
         child.servers,
         column_stats,
-        domains,
     )
 
 
@@ -359,7 +335,6 @@ def join_condition_selectivity(
         left.row_width + right.row_width,
         left.servers | right.servers,
         {**left.column_stats, **right.column_stats},
-        {**left.domains, **right.domains},
     )
     return predicate_selectivity(condition, merged)
 
@@ -373,13 +348,11 @@ def _join_properties(
         output_ids = left.output_ids + right.output_ids
         cardinality = cross * selectivity
         column_stats = {**left.column_stats, **right.column_stats}
-        domains = {**left.domains, **right.domains}
         width = left.row_width + right.row_width
     elif op.kind == JoinKind.LEFT_OUTER:
         output_ids = left.output_ids + right.output_ids
         cardinality = max(left.cardinality, cross * selectivity)
         column_stats = {**left.column_stats, **right.column_stats}
-        domains = dict(left.domains)
         width = left.row_width + right.row_width
     elif op.kind == JoinKind.SEMI:
         output_ids = left.output_ids
@@ -388,7 +361,6 @@ def _join_properties(
             DEFAULT_EQUALITY_SELECTIVITY, min(1.0, match_fraction)
         )
         column_stats = dict(left.column_stats)
-        domains = dict(left.domains)
         width = left.row_width
     else:  # ANTI_SEMI
         output_ids = left.output_ids
@@ -397,7 +369,6 @@ def _join_properties(
             0.1, 1.0 - min(0.9, match_fraction)
         )
         column_stats = dict(left.column_stats)
-        domains = dict(left.domains)
         width = left.row_width
     return GroupProperties(
         output_ids,
@@ -405,7 +376,6 @@ def _join_properties(
         width,
         left.servers | right.servers,
         column_stats,
-        domains,
     )
 
 
@@ -427,12 +397,9 @@ def _aggregate_properties(op: Aggregate, child: GroupProperties) -> GroupPropert
     column_stats = {
         cid: child.column_stats.get(cid) for cid in op.group_by
     }
-    domains = {
-        cid: child.domains[cid] for cid in op.group_by if cid in child.domains
-    }
     width = child.row_width + 8.0 * len(op.aggregates)
     return GroupProperties(
-        op.output_ids(), cardinality, width, child.servers, column_stats, domains
+        op.output_ids(), cardinality, width, child.servers, column_stats
     )
 
 
@@ -442,23 +409,11 @@ def _union_properties(
     cardinality = sum(c.cardinality for c in children)
     width = max((c.row_width for c in children), default=8.0)
     servers = frozenset().union(*(c.servers for c in children)) if children else frozenset({LOCAL})
-    # a union output column's domain is the union of branch domains
-    domains: Dict[ColumnId, IntervalSet] = {}
-    column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = {}
-    for out_cid in op.output_ids():
-        branch_domains = []
-        for branch_map, child in zip(op.branch_maps, children):
-            branch_cid = branch_map.get(out_cid)
-            if branch_cid is None or branch_cid not in child.domains:
-                branch_domains = None
-                break
-            branch_domains.append(child.domains[branch_cid])
-        if branch_domains:
-            merged = branch_domains[0]
-            for domain in branch_domains[1:]:
-                merged = merged.union(domain)
-            domains[out_cid] = merged
-        column_stats[out_cid] = None
+    # a union output column has no single base column to take
+    # statistics from
+    column_stats: Dict[ColumnId, Optional[ColumnStatsRef]] = dict.fromkeys(
+        op.output_ids()
+    )
     return GroupProperties(
-        op.output_ids(), cardinality, width, servers, column_stats, domains
+        op.output_ids(), cardinality, width, servers, column_stats
     )

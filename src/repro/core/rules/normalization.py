@@ -13,10 +13,13 @@ branches (the gateway to partitioned-view pruning), constant folding,
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from repro.algebra.expressions import (
+    AggregateCall,
     BinaryOp,
+    ColumnDef,
     ColumnRef,
     Literal,
     NotOp,
@@ -43,6 +46,10 @@ from repro.core.constraints import (
     derive_domains,
     parameter_comparisons,
 )
+from repro.types.datatypes import varchar
+
+#: bound on rewrite passes per fixpoint loop
+_MAX_PASSES = 10
 
 
 class NormalizeOptions:
@@ -52,28 +59,26 @@ class NormalizeOptions:
         self,
         static_pruning: bool = True,
         startup_filters: bool = True,
-        push_into_union: bool = True,
         partial_aggregation: bool = True,
     ):
         self.static_pruning = static_pruning
         self.startup_filters = startup_filters
-        self.push_into_union = push_into_union
         self.partial_aggregation = partial_aggregation
 
 
 def normalize(
-    root: LogicalOp, options: Optional[NormalizeOptions] = None, max_passes: int = 10
+    root: LogicalOp, options: Optional[NormalizeOptions] = None
 ) -> LogicalOp:
     """Rewrite to fixpoint (bounded), then prune unused columns."""
     options = options or NormalizeOptions()
-    for __ in range(max_passes):
+    for __ in range(_MAX_PASSES):
         rewritten, changed = _rewrite(root, options)
         root = rewritten
         if not changed:
             break
     root = prune_columns(root)
     # pruning may expose further local rewrites (e.g. select/project swaps)
-    for __ in range(max_passes):
+    for __ in range(_MAX_PASSES):
         rewritten, changed = _rewrite(root, options)
         root = rewritten
         if not changed:
@@ -94,14 +99,11 @@ def prune_columns(root: LogicalOp) -> LogicalOp:
 
 
 def _prune(op: LogicalOp, required: frozenset) -> LogicalOp:
-    from repro.algebra.expressions import ColumnRef as _ColumnRef
-    from repro.algebra.logical import Get as _Get
-
-    if isinstance(op, _Get):
+    if isinstance(op, Get):
         keep = [d for d in op.table.columns if d.cid in required]
         if op.table.is_remote and 0 < len(keep) < len(op.table.columns):
             outputs = [
-                (d.cid, _ColumnRef(d.cid, d.name, d.type, d.nullable))
+                (d.cid, ColumnRef(d.cid, d.name, d.type, d.nullable))
                 for d in keep
             ]
             return Project(op, outputs, keep)
@@ -176,14 +178,14 @@ def _rewrite_node(op: LogicalOp, options: NormalizeOptions) -> Optional[LogicalO
     if isinstance(op, Join):
         return _rewrite_join(op)
     if isinstance(op, UnionAll):
-        return _rewrite_union(op, options)
+        return _rewrite_union(op)
     if isinstance(op, Project):
         return _rewrite_project(op)
     if isinstance(op, (Sort, Top)) and isinstance(op.inputs[0], EmptyTable):
-        return EmptyTable(_defs_for(op))
+        return EmptyTable(defs_for(op))
     if isinstance(op, Aggregate) and isinstance(op.inputs[0], EmptyTable):
         if op.group_by:
-            return EmptyTable(_defs_for(op))
+            return EmptyTable(defs_for(op))
         return None  # scalar aggregate over empty input still yields a row
     if (
         isinstance(op, Aggregate)
@@ -196,9 +198,7 @@ def _rewrite_node(op: LogicalOp, options: NormalizeOptions) -> Optional[LogicalO
 
 # module-level cid counter for rewrite-minted columns; starts far above
 # any binder-assigned id so compilations never collide
-import itertools as _itertools
-
-_REWRITE_CIDS = _itertools.count(2_000_000)
+_REWRITE_CIDS = itertools.count(2_000_000)
 
 #: partial/combine function per decomposable aggregate
 _DECOMPOSABLE = {
@@ -216,8 +216,6 @@ def _push_partial_aggregates(op: Aggregate, union: UnionAll) -> Optional[Logical
     SUM/MIN/MAX via themselves; AVG and DISTINCT are not decomposable
     and leave the aggregate where it is.
     """
-    from repro.algebra.expressions import AggregateCall, ColumnDef, ColumnRef
-
     if any(
         agg.func not in _DECOMPOSABLE or agg.distinct
         for agg in op.aggregates
@@ -290,7 +288,7 @@ def _rewrite_select(op: Select, options: NormalizeOptions) -> Optional[LogicalOp
         if isinstance(folded, Literal):
             if folded.value is True:
                 return child
-            return EmptyTable(_defs_for(op))
+            return EmptyTable(defs_for(op))
         return Select(child, folded)
     # merge stacked selects
     if isinstance(child, Select):
@@ -302,7 +300,7 @@ def _rewrite_select(op: Select, options: NormalizeOptions) -> Optional[LogicalOp
         predicate_domains = derive_domains(op.predicate)
         base_domains = _base_domains(child)
         if contradicts(predicate_domains, base_domains):
-            return EmptyTable(_defs_for(op))
+            return EmptyTable(defs_for(op))
     # empty child
     if isinstance(child, EmptyTable):
         return child
@@ -319,7 +317,7 @@ def _rewrite_select(op: Select, options: NormalizeOptions) -> Optional[LogicalOp
     if isinstance(child, Join):
         return _push_select_into_join(op, child)
     # push into union branches (partitioned views)
-    if options.push_into_union and isinstance(child, UnionAll):
+    if isinstance(child, UnionAll):
         branches = []
         for branch, branch_map in zip(child.inputs, child.branch_maps):
             remapped = op.predicate.remap(branch_map)
@@ -384,20 +382,15 @@ def _push_select_into_join(op: Select, join: Join) -> Optional[LogicalOp]:
 def _derive_startup_tests(op: Select, get: Get) -> Optional[LogicalOp]:
     """Add DomainTest conjuncts for ``col <op> @param`` over constrained
     columns — the runtime-pruning setup of Section 4.1.5."""
-    if not get.table.check_domains:
+    domains = _base_domains(get)
+    if not domains:
         return None
-    cid_to_domain = {}
-    name_by_cid = {d.cid: d.name.lower() for d in get.table.columns}
-    for definition in get.table.columns:
-        domain = get.table.check_domains.get(definition.name.lower())
-        if domain is not None:
-            cid_to_domain[definition.cid] = domain
     existing = {
         conjunct.sql_key() for conjunct in conjuncts(op.predicate)
     }
     additions: list[ScalarExpr] = []
     for cid, comparison_op, probe in parameter_comparisons(op.predicate):
-        domain = cid_to_domain.get(cid)
+        domain = domains.get(cid)
         if domain is None:
             continue
         test = DomainTest(probe, comparison_op, domain)
@@ -416,21 +409,21 @@ def _rewrite_join(op: Join) -> Optional[LogicalOp]:
     left_empty = isinstance(op.left, EmptyTable)
     right_empty = isinstance(op.right, EmptyTable)
     if op.kind in (JoinKind.INNER, JoinKind.CROSS) and (left_empty or right_empty):
-        return EmptyTable(_defs_for(op))
+        return EmptyTable(defs_for(op))
     if op.kind in (JoinKind.SEMI,) and (left_empty or right_empty):
-        return EmptyTable(_defs_for(op))
+        return EmptyTable(defs_for(op))
     if op.kind == JoinKind.ANTI_SEMI and left_empty:
-        return EmptyTable(_defs_for(op))
+        return EmptyTable(defs_for(op))
     if op.kind == JoinKind.ANTI_SEMI and right_empty:
         return op.left  # NOT EXISTS over empty inner keeps every row
     if op.kind == JoinKind.LEFT_OUTER and left_empty:
-        return EmptyTable(_defs_for(op))
+        return EmptyTable(defs_for(op))
     return None
 
 
-def _rewrite_union(op: UnionAll, options: NormalizeOptions) -> Optional[LogicalOp]:
-    if not options.static_pruning:
-        return None
+def _rewrite_union(op: UnionAll) -> Optional[LogicalOp]:
+    """Drop empty branches — contradicted by static pruning, or emptied
+    by partial-results planning for an unreachable member."""
     live = [
         (branch, branch_map)
         for branch, branch_map in zip(op.inputs, op.branch_maps)
@@ -484,15 +477,10 @@ def _rewrite_project(op: Project) -> Optional[LogicalOp]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _defs_for(op: LogicalOp):
-    """ColumnDefs describing ``op``'s output (for EmptyTable)."""
-    from repro.algebra.expressions import ColumnDef
-    from repro.types.datatypes import varchar
-
-    defs = []
-    for cid in op.output_ids():
-        defs.append(ColumnDef(cid, f"c{cid}", varchar()))
-    return defs
+def defs_for(op: LogicalOp) -> list[ColumnDef]:
+    """ColumnDefs describing ``op``'s output (for an EmptyTable that
+    replaces it)."""
+    return [ColumnDef(cid, f"c{cid}", varchar()) for cid in op.output_ids()]
 
 
 def _base_domains(op: LogicalOp) -> dict:

@@ -134,12 +134,7 @@ def partition_members(
             table_name = parts[-1]
             member_schema = parts[-2] if len(parts) >= 2 else schema_name
             table = database.table(table_name, member_schema or schema_name)
-            domains = {
-                c.column_name.lower(): c.domain
-                for c in table.check_constraints()
-                if c.column_name and c.domain is not None
-            }
-            column, domain = _single_domain(domains)
+            column, domain = _single_domain(table.check_domains())
             members.append(
                 PartitionMember(
                     table_name,

@@ -18,12 +18,7 @@ The failure taxonomy and its exact semantics live in
 ``docs/FAULT_MODEL.md``.
 """
 
-from repro.resilience.degrade import (
-    PartialResultsInfo,
-    SkippedPartition,
-    prune_unavailable_branches,
-    pv_member_tables,
-)
+from repro.resilience.degrade import PartialResultsInfo, SkippedPartition
 from repro.resilience.faults import (
     DOWN,
     FaultInjector,
@@ -70,6 +65,4 @@ __all__ = [
     "HALF_OPEN",
     "PartialResultsInfo",
     "SkippedPartition",
-    "prune_unavailable_branches",
-    "pv_member_tables",
 ]

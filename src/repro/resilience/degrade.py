@@ -2,10 +2,11 @@
 
 Under ``SET PARTIAL_RESULTS ON`` the engine answers a federated query
 from the partitions it can still reach: before optimization (and again
-after a mid-query failure) it prunes every ``UnionAll`` branch whose
-subtree lives on an unavailable member — exactly the branch-dropping
-the static pruner performs for contradicted CHECK domains, but driven
-by breaker state instead of predicates.  Each dropped branch is
+after a mid-query failure) it replaces every ``UnionAll`` branch whose
+subtree lives on an unavailable member with an empty table, which the
+optimizer's normalization then drops exactly as it drops a branch whose
+CHECK domain contradicts the predicate.  The breaker state, not a
+predicate, decides which branches are empty.  Each emptied branch is
 recorded as a :class:`SkippedPartition`, and the resulting
 :class:`PartialResultsInfo` is stamped onto the ``QueryResult`` so the
 caller always knows the answer is incomplete, which members were
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.algebra.expressions import ColumnRef
-from repro.algebra.logical import EmptyTable, Get, LogicalOp, Project, UnionAll
-from repro.core.rules.normalization import normalize
+from repro.algebra.logical import EmptyTable, Get, LogicalOp, UnionAll
+from repro.core.rules.normalization import defs_for, normalize
 
 
 class SkippedPartition:
@@ -74,18 +74,6 @@ class PartialResultsInfo:
         return f"PartialResultsInfo(skipped={self.skipped})"
 
 
-def subtree_servers(op: LogicalOp) -> frozenset:
-    """Linked-server names a logical subtree reads from."""
-    found = set()
-    stack = [op]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Get) and node.table.server is not None:
-            found.add(node.table.server)
-        stack.extend(node.inputs)
-    return frozenset(found)
-
-
 def pv_member_tables(root: LogicalOp) -> frozenset:
     """``(server, qualified_name)`` pairs of remote partitioned-view
     members: every remote Get underneath a UnionAll in the *bound*
@@ -105,128 +93,78 @@ def pv_member_tables(root: LogicalOp) -> frozenset:
     return frozenset(members)
 
 
-def _branch_skips(
-    branch: LogicalOp,
-    down: frozenset,
-    reason_for: Callable[[str], str],
-) -> List[SkippedPartition]:
-    entries: List[SkippedPartition] = []
-    stack = [branch]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Get) and node.table.server in down:
-            entries.append(
-                SkippedPartition(
-                    node.table.server,
-                    node.table.qualified_name,
-                    reason_for(node.table.server),
-                )
-            )
-        stack.extend(node.inputs)
-    return entries
-
-
 def prune_unavailable_branches(
     root: LogicalOp,
     is_down: Callable[[str], bool],
-    pv_members: frozenset = frozenset(),
-    reason_for: Optional[Callable[[str], str]] = None,
+    pv_members: frozenset,
+    reason_for: Callable[[str], str],
 ) -> Tuple[LogicalOp, List[SkippedPartition]]:
-    """Drop UnionAll branches that read from unavailable servers.
+    """Empty out what reads an unavailable server.
 
-    Returns the (possibly rebuilt) tree plus one entry per skipped
-    member table.  Mirrors the static pruner's branch-drop mechanics:
-    a single surviving branch is projected onto the union's output ids,
-    zero survivors become an EmptyTable with the union's definitions.
+    Every UnionAll branch that reads an unavailable server becomes an
+    ``EmptyTable`` over the branch's column ids; the union rewrite of
+    :func:`~repro.core.rules.normalization.normalize`, which the
+    optimizer runs next, drops it.  A bare Get of a known PV member
+    (``pv_members``, from :func:`pv_member_tables`) that static pruning
+    already collapsed a union onto becomes ``EmptyTable`` too: the
+    predicate routed the query to a dead partition, so the partial
+    answer is empty, not an error.  Reads of an unavailable server that
+    are neither under a union nor a known PV member stay: they have no
+    healthy sibling to degrade to, so they keep fail-stop semantics
+    even in partial mode.
 
-    ``pv_members`` carries the ``(server, qualified_name)`` set from
-    :func:`pv_member_tables`: when static pruning already collapsed a
-    union to exactly the unavailable member, the surviving bare Get is
-    still recognized as a partition and degrades to an EmptyTable —
-    the predicate routed the query to a dead partition, so the partial
-    answer is empty, not an error.  Non-union reads of an unavailable
-    server that are *not* known PV members are left in place — they
-    have no healthy sibling to degrade to, so they keep fail-stop
-    semantics even in partial mode.
-
-    ``reason_for`` maps a server name to the skip reason recorded on
-    its :class:`SkippedPartition` (default ``"circuit_open"``); the
-    engine uses it to stamp ``"in_doubt"`` on members fenced off by an
-    unresolved distributed transaction rather than a tripped breaker.
+    Returns the rewritten tree plus one :class:`SkippedPartition` per
+    emptied member read; ``reason_for`` maps a server name to the
+    reason recorded on it (the engine stamps ``"in_doubt"`` on members
+    fenced off by an unresolved distributed transaction and
+    ``"circuit_open"`` otherwise).
     """
     skipped: List[SkippedPartition] = []
-    if reason_for is None:
-        reason_for = lambda server: "circuit_open"  # noqa: E731
 
-    def visit(op: LogicalOp) -> LogicalOp:
-        new_inputs = tuple(visit(child) for child in op.inputs)
-        if new_inputs != tuple(op.inputs):
-            op = op.with_inputs(new_inputs)
-        if not isinstance(op, UnionAll):
-            return op
-        live: List[Tuple[LogicalOp, dict]] = []
-        for branch, branch_map in zip(op.inputs, op.branch_maps):
-            down = frozenset(
-                s for s in subtree_servers(branch) if is_down(s)
-            )
-            if down:
-                skipped.extend(_branch_skips(branch, down, reason_for))
-            else:
-                live.append((branch, branch_map))
-        if len(live) == len(op.inputs):
-            return op
-        if not live:
-            return EmptyTable(op.output_defs)
-        if len(live) == 1:
-            branch, branch_map = live[0]
-            outputs = []
-            for definition in op.output_defs:
-                branch_cid = branch_map[definition.cid]
-                outputs.append(
-                    (
-                        definition.cid,
-                        ColumnRef(
-                            branch_cid, definition.name, definition.type
-                        ),
+    def emptied(op: LogicalOp, column_defs: Any) -> LogicalOp:
+        dead = []
+        stack = [op]
+        while stack:
+            node = stack.pop()
+            if (
+                isinstance(node, Get)
+                and node.table.server is not None
+                and is_down(node.table.server)
+            ):
+                dead.append(
+                    SkippedPartition(
+                        node.table.server,
+                        node.table.qualified_name,
+                        reason_for(node.table.server),
                     )
                 )
-            return Project(branch, outputs, op.output_defs)
-        return UnionAll(
-            [b for b, __ in live],
-            op.output_defs,
-            [m for __, m in live],
-        )
+            stack.extend(node.inputs)
+        if not dead:
+            return op
+        skipped.extend(dead)
+        return EmptyTable(column_defs)
 
-    def degrade_collapsed(op: LogicalOp) -> LogicalOp:
-        if (
-            isinstance(op, Get)
-            and op.table.server is not None
-            and is_down(op.table.server)
-            and (op.table.server, op.table.qualified_name) in pv_members
-        ):
-            skipped.append(
-                SkippedPartition(
-                    op.table.server,
-                    op.table.qualified_name,
-                    reason_for(op.table.server),
-                )
-            )
-            return EmptyTable(op.table.columns)
-        new_inputs = tuple(degrade_collapsed(child) for child in op.inputs)
-        if new_inputs != tuple(op.inputs):
-            op = op.with_inputs(new_inputs)
+    def visit(op: LogicalOp, under_union: bool) -> LogicalOp:
+        if isinstance(op, Get):
+            member = (op.table.server, op.table.qualified_name)
+            if not under_union and member in pv_members:
+                return emptied(op, op.table.columns)
+            return op
+        inside = under_union or isinstance(op, UnionAll)
+        inputs = [visit(child, inside) for child in op.inputs]
+        if isinstance(op, UnionAll):
+            inputs = [emptied(branch, defs_for(branch)) for branch in inputs]
+        if inputs != list(op.inputs):
+            op = op.with_inputs(inputs)
         return op
 
-    pruned = visit(root)
-    if pv_members:
-        pruned = degrade_collapsed(pruned)
-    return pruned, skipped
+    return visit(root, False), skipped
 
 
 def prune_unreachable_members(
     engine: Any, root: LogicalOp, trace: Any, allow_probes: bool
 ) -> Tuple[LogicalOp, List[SkippedPartition]]:
-    """Partial-results planning for one statement: drop the PV branches
+    """Partial-results planning for one statement: empty the PV branches
     whose member is unreachable (breaker open) or fenced by an in-doubt
     distributed transaction, recording each as a skipped partition.
 
@@ -264,8 +202,8 @@ def prune_unreachable_members(
     root, skipped = prune_unavailable_branches(
         root,
         unavailable,
-        pv_members=members,
-        reason_for=lambda server_name: (
+        members,
+        lambda server_name: (
             "in_doubt" if server_name.lower() in in_doubt else "circuit_open"
         ),
     )

@@ -525,11 +525,6 @@ class Binder:
             self.registry.mint(c.name, c.type, c.nullable, alias)
             for c in table.schema
         ]
-        check_domains = {
-            constraint.column_name.lower(): constraint.domain
-            for constraint in table.check_constraints()
-            if constraint.column_name and constraint.domain is not None
-        }
         fulltext = self.context.fulltext_binding(
             database.name, schema_name, table.name
         )
@@ -540,7 +535,7 @@ class Binder:
             database=database.name,
             schema_name=schema_name,
             local_table=table,
-            check_domains=check_domains,
+            check_domains=table.check_domains(),
             fulltext=fulltext,
         )
         scope.add(alias, column_defs)
@@ -569,7 +564,7 @@ class Binder:
             schema_name=schema_name,
             provider=server,
             remote_info=info,
-            check_domains=dict(info.check_domains),
+            check_domains=info.check_domains,
         )
         scope.add(alias, column_defs)
         return Get(ref)

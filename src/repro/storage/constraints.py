@@ -12,11 +12,24 @@ about symbolically.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConstraintError
 from repro.types.intervals import IntervalSet
 from repro.types.schema import Schema
+
+
+def intersect_domains(
+    domains: Iterable[tuple[str, IntervalSet]],
+) -> dict[str, IntervalSet]:
+    """Column name (lower) -> the intersection of every domain given for
+    that column: a column under two CHECKs admits what both admit."""
+    out: dict[str, IntervalSet] = {}
+    for column_name, domain in domains:
+        key = column_name.lower()
+        existing = out.get(key)
+        out[key] = domain if existing is None else existing.intersect(domain)
+    return out
 
 
 class Constraint:

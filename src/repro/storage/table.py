@@ -14,8 +14,14 @@ from typing import Any, Iterator, Optional, Sequence
 from repro.errors import CatalogError, ConstraintError
 from repro.stats.table_stats import TableStatistics
 from repro.storage.btree import BTreeIndex, IndexMetadata
-from repro.storage.constraints import CheckConstraint, Constraint, UniqueConstraint
+from repro.storage.constraints import (
+    CheckConstraint,
+    Constraint,
+    UniqueConstraint,
+    intersect_domains,
+)
 from repro.storage.heap import Heap, RowId
+from repro.types.intervals import IntervalSet
 from repro.types.schema import Schema
 
 
@@ -66,8 +72,18 @@ class Table:
         self.schema_version += 1
 
     def check_constraints(self) -> list[CheckConstraint]:
-        """All CHECK constraints (partition pruning reads these)."""
+        """All CHECK constraints (the CHECK_CONSTRAINTS rowset lists these)."""
         return [c for c in self.constraints if isinstance(c, CheckConstraint)]
+
+    def check_domains(self) -> dict[str, IntervalSet]:
+        """Column name (lower) -> the intersection of every CHECK domain
+        on that column (static pruning, startup filters and partition
+        routing read these)."""
+        return intersect_domains(
+            (c.column_name, c.domain)
+            for c in self.check_constraints()
+            if c.column_name and c.domain is not None
+        )
 
     # -- DML ----------------------------------------------------------------
     def insert(self, row: Sequence[Any], txn: Optional[Any] = None) -> RowId:

@@ -75,6 +75,20 @@ def _health_penalized_plan() -> str:
     return local.plan(worlds.FIG4_SQL).explain()
 
 
+def _partial_results_plan() -> str:
+    """§4.1.5's federated lineitem under ``PARTIAL_RESULTS`` with
+    srv1993's breaker open: the dead member's branch is emptied and
+    dropped by the union rewrite before the search, so only the two
+    live members are aggregated.  (``plan()`` does no partial-results
+    planning, hence ``execute``.)"""
+    sql = "SELECT l_orderkey, COUNT(*) FROM lineitem GROUP BY l_orderkey"
+    local, _channels = worlds.build_pruning_world()
+    local.plan(sql)  # warm remote metadata while healthy
+    local.execute("SET PARTIAL_RESULTS ON")
+    local.health.breaker("srv1993").force_open(reason="golden")
+    return local.execute(sql).optimization.explain()
+
+
 #: case name -> plan producer (raw EXPLAIN text)
 GOLDEN_CASES: dict[str, Callable[[], str]] = {
     "fig4_remote_join": _fig4_plan,
@@ -82,6 +96,7 @@ GOLDEN_CASES: dict[str, Callable[[], str]] = {
     "remote_spool": _spool_plan,
     "parameterized_join": _param_join_plan,
     "health_penalized_fallback": _health_penalized_plan,
+    "partial_results_pruned": _partial_results_plan,
 }
 
 

@@ -114,19 +114,3 @@ class TestProperties:
         root = memo.insert_tree(bound.root)
         assert root.properties.servers == frozenset({LOCAL})
         assert root.properties.single_server is None
-
-    def test_domains_flow_from_predicates(self, engine):
-        bound = bound_tree(engine, "SELECT a.x FROM a WHERE a.x > 5")
-        memo = Memo()
-        root = memo.insert_tree(bound.root)
-        # find the select group's domain for x
-        select_group = next(
-            g
-            for g in memo.groups
-            if any(isinstance(e.op, Select) for e in g.expressions)
-        )
-        x_cid = select_group.properties.output_ids[0]
-        domain = select_group.properties.domains.get(x_cid)
-        assert domain is not None
-        assert not domain.contains(5)
-        assert domain.contains(6)

@@ -1,5 +1,7 @@
 """Tests for the phased Cascades optimizer (Section 4.1)."""
 
+import random
+
 import pytest
 
 from repro import Engine, NetworkChannel, OptimizerOptions, ServerInstance
@@ -60,6 +62,37 @@ class TestLocalPlans:
             "SELECT grp, COUNT(*) FROM t GROUP BY grp"
         )
         assert plan_ops(result.plan, (P.HashAggregate, P.StreamAggregate))
+
+
+class TestOrderedImplementations:
+    """A required order is a parameter of each operator's one
+    implementation, so an ordered Select costs its filter as an
+    unordered one does."""
+
+    @pytest.fixture
+    def docs(self):
+        e = Engine("local")
+        e.execute("CREATE TABLE docs (id int PRIMARY KEY, body varchar(200))")
+        words = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+                 "eta", "theta")
+        rng = random.Random(29)
+        table = e.catalog.database().table("docs")
+        for i in range(2000):
+            table.insert((i, " ".join(rng.choice(words) for __ in range(12))))
+        e.create_fulltext_index("docs", "id", "body")
+        return e
+
+    def test_contains_under_order_by_keeps_the_fulltext_join(self, docs):
+        sql = "SELECT id FROM docs WHERE CONTAINS(body, 'alpha')"
+        plan = docs.plan(sql + " ORDER BY id").plan
+        # the sort enforcer over the full-text semi-join, not a per-row
+        # CONTAINS filter over an ordered index scan
+        [sort] = plan_ops(plan, P.PhysicalSort)
+        assert isinstance(sort.child, P.HashJoin) and sort.child.kind == "semi"
+        assert plan_ops(plan, P.FullTextKeyLookup)
+        assert not plan_ops(plan, P.Filter)
+        ordered = docs.execute(sql + " ORDER BY id").rows
+        assert ordered == sorted(docs.execute(sql).rows)
 
 
 class TestPhases:
@@ -172,7 +205,6 @@ class TestRemotePlans:
             "enable_parameterization",
             "enable_predicate_split",
             "enable_spool",
-            "enable_merge_join",
         ):
             options = OptimizerOptions()
             setattr(options, flag, False)

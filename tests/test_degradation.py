@@ -387,6 +387,23 @@ class TestPartialResults:
         assert result.is_partial
         assert result.partial.skipped_servers == ["srv1993"]
 
+    def test_dead_branches_drop_without_static_pruning(self, pv_world):
+        # the union rewrite drops an emptied branch whether or not
+        # static pruning is on; the switch only gates the CHECK test
+        local, __ = pv_world
+        _take_down(local, "srv1993")
+        with pytest.raises(ServerUnavailableError):
+            local.execute("SELECT * FROM lineitem")
+        local.execute("SET PARTIAL_RESULTS ON")
+        pruned = local.execute("SELECT * FROM lineitem")
+        local.optimizer.options.enable_static_pruning = False
+        unpruned = local.execute("SELECT * FROM lineitem")
+        assert sorted(unpruned.rows) == sorted(pruned.rows)
+        assert [s.as_dict() for s in unpruned.partial.skipped] == [
+            s.as_dict() for s in pruned.partial.skipped
+        ]
+        assert "li_1993" not in unpruned.optimization.explain()
+
     def test_off_is_fail_stop(self, pv_world):
         local, __ = pv_world
         _take_down(local, "srv1993")

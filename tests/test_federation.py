@@ -58,6 +58,30 @@ class TestMemberDiscovery:
         members = partition_members(local, db, "dbo", db.view("li"))
         validate_disjoint(members)  # no raise
 
+    def test_two_checks_on_one_column_intersect(self):
+        # CHECK (id >= 1) and CHECK (id <= 100) admit [1, 100] together,
+        # for a local table as through a linked server
+        ddl = (
+            "CREATE TABLE t (id int PRIMARY KEY, v int, "
+            "CHECK (id >= 1), CHECK (id <= 100))"
+        )
+        local = Engine("local")
+        remote = ServerInstance("r0")
+        local.execute(ddl)
+        remote.execute(ddl)
+        local.add_linked_server(
+            "r0", remote, NetworkChannel("wan", latency_ms=1)
+        )
+        for table in ("t", "r0.master.dbo.t"):
+            plan = local.plan(f"SELECT v FROM {table} WHERE id = -5").plan
+            assert isinstance(plan, P.ConstScan) and not plan.rows, table
+        local.execute("CREATE VIEW tv AS SELECT * FROM t")
+        db = local.catalog.database()
+        [member] = partition_members(local, db, "dbo", db.view("tv"))
+        assert member.partition_column == "id"
+        assert member.accepts(1) and member.accepts(100)
+        assert not member.accepts(0) and not member.accepts(101)
+
     def test_overlapping_members_rejected(self):
         local = Engine("local")
         local.execute("CREATE TABLE a (k int CHECK (k < 10))")
