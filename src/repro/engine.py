@@ -553,6 +553,8 @@ class ServerInstance:
             finally:
                 self.governor.complete(ctx.group, ticket)
                 ctx.ledger.close()
+                if trace is not None:
+                    trace.rollup()
         result.workload_group = ctx.group.name
         result.admission_wait_ms = ticket.wait_ms
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0

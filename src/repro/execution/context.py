@@ -6,6 +6,13 @@ counters, feeds the engine's metrics registry when one is attached, and
 emits trace/profile events when those recorders are enabled.  With
 observability off every hook costs a counter add plus three ``is None``
 tests.
+
+Per-operator rows and time are not hooks: the executor's one operator
+meter (:func:`repro.execution.executor.open_plan`) feeds both the
+profiler and the operator span.  The meter runs each runner's open
+work on the operator's first pull, inside its span, so a hook a runner
+fires (a remote query, a startup-filter skip) is stamped with the
+operator that fired it.
 """
 
 from __future__ import annotations
@@ -94,7 +101,7 @@ class ExecutionContext:
         if self.metrics is not None:
             self.metrics.increment("executor.startup_filters_skipped")
         if self.profiler is not None:
-            self.profiler.record_startup_skip(plan)
+            self.profiler.profile_for(plan).startup_skips += 1
         if self.trace is not None:
             self.trace.event(
                 "startup_filter_skip", predicate=repr(plan.predicate)

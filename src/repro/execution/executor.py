@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import itemgetter
+from time import perf_counter
 from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.algebra.expressions import ColumnId, ColumnRef, ScalarExpr
@@ -28,9 +29,13 @@ from repro.execution.scans import (
     run_remote_scan,
     run_table_scan,
 )
+from repro.observability.profile import OperatorProfile
 from repro.types.intervals import sql_sorted
 
 Row = tuple
+
+#: what ``next`` returns from an exhausted runner, inside the meter
+_END = object()
 
 
 def layout_of(plan: P.PhysicalOp) -> Dict[ColumnId, int]:
@@ -61,20 +66,57 @@ def tuple_getter(ordinals: Sequence[int]) -> Callable[[Row], Row]:
 def open_plan(plan: P.PhysicalOp, ctx: ExecutionContext) -> Iterator[Row]:
     """Open a physical plan into a fresh iterator (re-openable).
 
-    When the context carries a profiler, every operator's row stream is
-    wrapped with per-node row/time accounting; when it carries a trace,
-    the stream additionally runs under a per-operator span (created on
-    first pull, so the span tree mirrors the plan tree).  Otherwise the
-    iterator is returned untouched (one ``is None`` test per open).
+    With no profiler and no trace on the context the runner's iterator
+    is returned untouched (two ``is None`` tests per open).  Otherwise
+    the open is counted now and the operator runs under :func:`_meter`.
     """
-    rows = _dispatch(plan, ctx)
-    if ctx.profiler is not None:
-        rows = ctx.profiler.instrument(plan, rows)
-    if ctx.trace is not None:
-        rows = ctx.trace.instrument_operator(
-            type(plan).__name__, rows, node_id=id(plan)
-        )
-    return rows
+    profiler = ctx.profiler
+    if profiler is None and ctx.trace is None:
+        return _dispatch(plan, ctx)
+    if profiler is None:
+        profile = OperatorProfile(type(plan).__name__, plan.est_rows)
+    else:
+        profile = profiler.profile_for(plan)
+    profile.opens += 1
+    return _meter(plan, ctx, profile)
+
+
+def _meter(
+    plan: P.PhysicalOp, ctx: ExecutionContext, profile: OperatorProfile
+) -> Iterator[Row]:
+    """The one per-operator meter.  The runner is dispatched on the
+    first pull, so its open-time work is this operator's; each pull is
+    timed once, and the time feeds both the profile and the operator
+    span.  The span is created on the first pull — under the consuming
+    operator's span, so the span tree mirrors the plan tree — and
+    re-entered around every later pull, so remote commands and point
+    events nest under the operator whose pull caused them."""
+    trace = ctx.trace
+    span = rows = None
+    while True:
+        if trace is not None:
+            if span is None:
+                span = trace.begin_span(
+                    "operator", operator=profile.label, node_id=id(plan)
+                )
+            else:
+                trace.enter_span(span)
+        opening = rows is None
+        row = _END
+        started = perf_counter()
+        try:
+            if opening:
+                rows = _dispatch(plan, ctx)
+            row = next(rows, _END)
+        finally:
+            ms = (perf_counter() - started) * 1000.0
+            profile.pulled(ms, opening, row is not _END)
+            if span is not None:
+                span.duration_ms += ms
+                trace.exit_span(span)
+        if row is _END:
+            return
+        yield row
 
 
 def _dispatch(plan: P.PhysicalOp, ctx: ExecutionContext) -> Iterator[Row]:
@@ -139,8 +181,6 @@ def _run_project(plan: P.ComputeProject, ctx: ExecutionContext) -> Iterator[Row]
 
 
 def _run_sort(plan: P.PhysicalSort, ctx: ExecutionContext) -> Iterator[Row]:
-    # a generator, so the child opens and the sort runs on the first
-    # pull: inside this operator's span and profile, not its parent's
     child_layout = layout_of(plan.child)
     rows = list(open_plan(plan.child, ctx))
     # stable multi-key sort: apply keys last-to-first
@@ -152,9 +192,9 @@ def _run_sort(plan: P.PhysicalSort, ctx: ExecutionContext) -> Iterator[Row]:
 
 
 def _run_spool(plan: P.Spool, ctx: ExecutionContext) -> Iterator[Row]:
-    # a generator for the same reason as _run_sort.  Stable key (not
-    # id(plan)) so a bounded replan after a mid-query failure can reuse
-    # rows already spooled from a now-down member
+    # a stable key (not id(plan)), so a bounded replan after a
+    # mid-query failure can reuse rows already spooled from a now-down
+    # member
     cache_key = plan.cache_key()
     with ctx.spool_lock:
         cached = ctx.spool_cache.get(cache_key)

@@ -18,11 +18,12 @@ Concurrency contract
   breakers, retry/budget accounting, the per-thread trace span stack,
   and the locked spool cache.  Each plan branch is opened and iterated
   by exactly one worker thread.
-* The consumer (``pages()`` / ``_BranchStream``) must stay on the
+* The consumer (``pages()`` / ``BranchStream``) must stay on the
   thread that opened the exchange; it folds each finished branch's
-  ledger into the statement's and re-applies the branch's network time
-  to the consumer-side span stack so the execute-span invariant
-  (net_ms == statement simulated_ms) holds.
+  ledger into the statement's.  A branch's network time reaches the
+  consumer's spans through the trace's rollup along the branch span's
+  parentage, so the execute-span invariant (net_ms == statement
+  simulated_ms) holds without the consumer touching the trace.
 * Cancellation is cooperative: the shared :class:`threading.Event` is
   checked at page boundaries, and blocked puts poll it, so the first
   branch error (or an abandoning consumer) stops every worker without
@@ -192,18 +193,10 @@ class ExchangeScheduler:
     # -- consumer side ----------------------------------------------------
     def _settle(self, ledger: StatementLedger) -> float:
         """Take a finished branch's ledger on the *consumer* thread:
-        fold it into the statement's ledger and re-apply its simulated
-        network time to the spans open here (the exchange operator
-        span, the execute span, ...).  Worker-side charges only reached
-        the worker's own span stack, so without this the execute span
-        would under-report by exactly the parallel work.  Returns the
-        branch's simulated ms."""
+        fold it into the statement's ledger.  Returns the branch's
+        simulated ms."""
         ledger.close()
-        net_ms = ledger.simulated_ms
-        trace = self.ctx.trace
-        if trace is not None and net_ms:
-            trace.add_network_ms(net_ms)
-        return net_ms
+        return ledger.simulated_ms
 
     def finish(self, branch_ms: Sequence[float]) -> None:
         """Record overlap accounting once every branch has reported:

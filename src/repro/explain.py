@@ -53,6 +53,7 @@ def explain(engine: Any, stmt: ast.ExplainStmt, ctx: Any) -> QueryResult:
                 execute_plan(optimization.plan, exec_ctx)
         finally:
             run.close()
+        run_trace.rollup()
         lines = render_analyze(
             optimization.plan,
             profiler,

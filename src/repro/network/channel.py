@@ -98,9 +98,9 @@ class NetworkChannel:
         """The one place traffic is charged.  It lands on the channel's
         running totals (locked: parallel workers share the channel) and
         on the calling thread's statement ledger (unlocked: a ledger is
-        written by one thread only); simulated time also reaches every
-        open span of the statement's trace, so each level of the span
-        tree carries its inclusive network time, and draws down the
+        written by one thread only); simulated time also lands on the
+        thread's innermost span of the statement's trace (rolled up the
+        span tree when the statement ends) and draws down the
         statement's budget (which may raise)."""
         stats = self.stats
         with self._lock:

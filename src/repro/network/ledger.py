@@ -7,8 +7,9 @@ statement paid for a byte.  Each statement therefore owns one
 (:func:`bind_ledger`); every charge a channel makes lands on the
 channel's running totals *and* on the bound ledger's row for that
 channel.  The ledger also carries what a charge must reach besides the
-counters: the statement's trace (simulated time lands on every open
-span) and its timeout budget (drawn down live).
+counters: the statement's trace (simulated time lands on the
+charging thread's innermost span) and its timeout budget (drawn down
+live).
 
 Ledgers nest.  A nested ``execute`` on the same thread (a member
 running shipped SQL), the run of an EXPLAIN ANALYZE and each exchange

@@ -1,16 +1,21 @@
 """Per-operator runtime profiles (``SET STATISTICS PROFILE`` analogue).
 
 When profiling is enabled on an :class:`~repro.execution.context.ExecutionContext`,
-the plan interpreter routes every operator's row stream through
-:meth:`PlanProfiler.instrument`, which records per plan node:
+the executor's operator meter (:func:`repro.execution.executor.open_plan`)
+times every pull of every operator once and charges it through
+:meth:`OperatorProfile.pulled`, which records per plan node:
 
 * ``actual_rows`` — rows the operator produced (summed over re-opens);
 * ``opens`` — how many times the operator was opened (``opens - 1``
   rescans, the interesting number over remote sources);
-* ``open_ms`` — time spent producing the *first* row (where pipeline
-  breakers like hash-join build or sort actually do their work);
+* ``open_ms`` — time spent producing the *first* row, including the
+  runner's open work (a remote query's schema validation and command
+  dispatch, a hash-join build, a sort), which the meter defers to the
+  first pull so that it is this operator's and not its consumer's;
 * ``next_ms`` — time spent producing the remaining rows;
-* ``close_ms`` — time spent in the exhausting call (StopIteration);
+* ``close_ms`` — time spent in the exhausting call (StopIteration); an
+  open that produces no row charges its one pull, open work included,
+  here;
 * ``startup_skips`` — times a startup filter pruned the subtree without
   opening it (Section 4.1.5 runtime pruning, visible per node).
 
@@ -20,8 +25,7 @@ actual rows so cardinality misestimates are visible at a glance.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 
 class OperatorProfile:
@@ -47,6 +51,19 @@ class OperatorProfile:
         self.next_ms = 0.0
         self.close_ms = 0.0
         self.startup_skips = 0
+
+    def pulled(self, ms: float, opening: bool, produced: bool) -> None:
+        """Charge one pull of ``ms``: the opening pull's row is open
+        time, a later row next time, and the exhausting pull close
+        time."""
+        if not produced:
+            self.close_ms += ms
+            return
+        self.actual_rows += 1
+        if opening:
+            self.open_ms += ms
+        else:
+            self.next_ms += ms
 
     @property
     def rescans(self) -> int:
@@ -98,30 +115,6 @@ class PlanProfiler:
     def lookup(self, plan: Any) -> Optional[OperatorProfile]:
         return self.profiles.get(id(plan))
 
-    def record_startup_skip(self, plan: Any) -> None:
-        self.profile_for(plan).startup_skips += 1
-
-    def instrument(self, plan: Any, rows: Iterator[tuple]) -> Iterator[tuple]:
-        """Wrap an operator's row stream with timing/row accounting."""
-        profile = self.profile_for(plan)
-        profile.opens += 1
-        first = True
-        while True:
-            started = time.perf_counter()
-            try:
-                row = next(rows)
-            except StopIteration:
-                profile.close_ms += (time.perf_counter() - started) * 1000.0
-                return
-            elapsed = (time.perf_counter() - started) * 1000.0
-            if first:
-                profile.open_ms += elapsed
-                first = False
-            else:
-                profile.next_ms += elapsed
-            profile.actual_rows += 1
-            yield row
-
     def as_rows(self, plan: Any) -> list[Dict[str, Any]]:
         """Pre-order operator dicts for structured consumption."""
         out = []
@@ -149,6 +142,11 @@ def _walk_depth(plan: Any, depth: int):
         yield from _walk_depth(child, depth + 1)
 
 
+#: the ``remote_command`` span attributes :func:`remote_stats_by_node`
+#: adds up per node and server
+_REMOTE_ATTRS = ("retries", "backoff_ms", "breaker_fast_fails")
+
+
 def remote_stats_by_node(trace: Any) -> Dict[int, Dict[str, Dict[str, float]]]:
     """Aggregate ``remote_command`` spans per dispatching plan node.
 
@@ -164,23 +162,14 @@ def remote_stats_by_node(trace: Any) -> Dict[int, Dict[str, Dict[str, float]]]:
         node_id = parent.attrs.get("node_id") if parent is not None else None
         if node_id is None:
             continue
-        server = span.attrs.get("server", "?")
+        attrs = span.attrs
         entry = out.setdefault(node_id, {}).setdefault(
-            server,
-            {
-                "commands": 0,
-                "retries": 0,
-                "backoff_ms": 0.0,
-                "breaker_fast_fails": 0,
-                "net_ms": 0.0,
-            },
+            attrs["server"],
+            dict.fromkeys(("commands", *_REMOTE_ATTRS, "net_ms"), 0),
         )
         entry["commands"] += 1
-        entry["retries"] += int(span.attrs.get("retries", 0))
-        entry["backoff_ms"] += float(span.attrs.get("backoff_ms", 0.0))
-        entry["breaker_fast_fails"] += int(
-            span.attrs.get("breaker_fast_fails", 0)
-        )
+        for attr in _REMOTE_ATTRS:
+            entry[attr] += attrs[attr]
         entry["net_ms"] += span.net_ms
     return out
 

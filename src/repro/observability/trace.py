@@ -17,21 +17,25 @@ A :class:`QueryTrace` collects ordered events for one statement:
   that was current when they fired.
 
 Every span carries two durations: ``duration_ms`` is wall-clock time
-spent inside the span, and ``net_ms`` is *simulated* network time the
-channels charged while the span was current (a channel charge
-propagates to every span on the current stack, so parent spans
-accumulate their children's network time inclusively).
+spent inside the span, and ``net_ms`` is *simulated* network time.  A
+channel charge lands on one span only — the innermost span of the
+charging thread, as its ``self_net_ms`` — and :meth:`QueryTrace.rollup`
+folds every span's self charge into its ancestors along ``parent_id``
+once the statement ends, so ``net_ms`` is inclusive: the ``execute``
+span's equals the statement's ``simulated_ms``.
 
 The current-span context is an explicit *per-thread* stack.  Pipelined
-operators interleave their pulls, so the operator instrumentation
-re-enters its span around every ``next()`` — whatever runs inside a
-pull (a remote command, a retry backoff, a fault) is attributed to the
-operator that triggered it, not to whichever operator happened to open
-last.  Parallel exchange workers run on their own (initially empty)
-stacks: each opens a ``parallel_branch`` span explicitly parented to
-the consumer-side exchange span (carrying ``parallelism`` / ``worker``
-/ ``branch`` attributes), so remote commands keep nesting correctly
-while concurrent branches never contaminate each other's attribution.
+operators interleave their pulls, so the executor's operator meter
+re-enters an operator's span around every ``next()`` — whatever runs
+inside a pull (a remote command, a retry backoff, a fault) is
+attributed to the operator that triggered it, not to whichever
+operator happened to open last.  Parallel exchange workers run on
+their own (initially empty) stacks: each opens a ``parallel_branch``
+span explicitly parented to the consumer-side exchange span (carrying
+``parallelism`` / ``worker`` / ``branch`` attributes), so remote
+commands keep nesting correctly while concurrent branches never
+contaminate each other's attribution, and the rollup carries their
+network time up through the exchange.
 
 Tracing is off by default.  The engine only allocates a QueryTrace when
 ``tracing_enabled`` is set, and every producer site is guarded by an
@@ -92,12 +96,13 @@ class SpanEvent(TraceEvent):
 
     For a span, ``span_id`` is its *own* identity and ``parent_id``
     points at the enclosing span (None for root spans).  ``duration_ms``
-    accumulates wall-clock time spent inside the span; ``net_ms``
-    accumulates simulated network milliseconds charged while the span
-    was on the current stack.
+    accumulates wall-clock time spent inside the span; ``self_net_ms``
+    the simulated network milliseconds charged while the span was the
+    innermost one, and ``net_ms`` that plus every descendant's (set by
+    :meth:`QueryTrace.rollup`).
     """
 
-    __slots__ = ("duration_ms", "net_ms", "parent_id")
+    __slots__ = ("duration_ms", "self_net_ms", "net_ms", "parent_id")
 
     def __init__(
         self,
@@ -109,12 +114,14 @@ class SpanEvent(TraceEvent):
     ):
         super().__init__(name, at_ms, attrs, span_id)
         self.duration_ms: float = 0.0
+        self.self_net_ms: float = 0.0
         self.net_ms: float = 0.0
         self.parent_id = parent_id
 
     def as_dict(self) -> Dict[str, Any]:
         out = super().as_dict()
         out["duration_ms"] = round(self.duration_ms, 3)
+        out["self_net_ms"] = round(self.self_net_ms, 3)
         out["net_ms"] = round(self.net_ms, 3)
         out["parent_id"] = self.parent_id
         return out
@@ -166,10 +173,6 @@ class QueryTrace:
 
     # -- span context ----------------------------------------------------------
     @property
-    def current_span(self) -> Optional[SpanEvent]:
-        return self._stack[-1] if self._stack else None
-
-    @property
     def current_span_id(self) -> Optional[int]:
         return self._stack[-1].span_id if self._stack else None
 
@@ -180,7 +183,7 @@ class QueryTrace:
 
         Prefer the :meth:`span` context manager; ``begin_span`` exists
         for scopes that cannot be expressed as a ``with`` block (the
-        per-pull operator instrumentation re-enters its span manually).
+        executor's operator meter re-enters its span around each pull).
 
         ``parent_span_id`` overrides the default parentage (the calling
         thread's current span): exchange workers start on an empty
@@ -218,14 +221,27 @@ class QueryTrace:
             pass
 
     def add_network_ms(self, ms: float) -> None:
-        """Attribute simulated network time to every span on the
-        *calling thread's* stack (called by the channel's charging
-        hook).  Worker-thread charges reach only worker-side spans; the
-        exchange consumer mirrors each finished branch's total onto its
-        own stack, which keeps the execute-span invariant (net_ms ==
-        statement simulated_ms) without double counting."""
-        for span in self._stack:
-            span.net_ms += ms
+        """Charge simulated network time to the *calling thread's*
+        innermost span (the channel's charging hook); :meth:`rollup`
+        makes the charge inclusive."""
+        stack = self._stack
+        if stack:
+            stack[-1].self_net_ms += ms
+
+    def rollup(self) -> None:
+        """Recompute every span's inclusive ``net_ms`` from the self
+        charges.  A child span is always appended after its parent, so
+        one reverse pass folds each subtree before its root; the pass
+        starts from the self charges, so calling it again is a no-op."""
+        spans = self.spans()
+        by_id = {}
+        for span in spans:
+            span.net_ms = span.self_net_ms
+            by_id[span.span_id] = span
+        for span in reversed(spans):
+            parent = by_id.get(span.parent_id)
+            if parent is not None:
+                parent.net_ms += span.net_ms
 
     # -- producers ------------------------------------------------------------
     @contextmanager
@@ -237,40 +253,6 @@ class QueryTrace:
         finally:
             span.duration_ms += (time.perf_counter() - started) * 1000.0
             self.exit_span(span)
-
-    def instrument_operator(
-        self, label: str, rows: Iterator[tuple], **attrs: Any
-    ) -> Iterator[tuple]:
-        """Wrap an operator's row stream so every pull runs under a
-        per-operator span.
-
-        The span is created on the *first* pull — which happens while
-        the consuming operator's span is current, so the span tree
-        mirrors the executed plan tree even though pipelined operators
-        interleave.  ``duration_ms`` accumulates only this operator's
-        pull time (inclusive of its children); remote commands
-        dispatched during a pull become child spans of this one.
-        """
-        span: Optional[SpanEvent] = None
-        while True:
-            started = time.perf_counter()
-            if span is None:
-                span = self.begin_span("operator", operator=label, **attrs)
-            else:
-                self.enter_span(span)
-            try:
-                row = next(rows)
-            except StopIteration:
-                span.duration_ms += (time.perf_counter() - started) * 1000.0
-                self.exit_span(span)
-                return
-            except BaseException:
-                span.duration_ms += (time.perf_counter() - started) * 1000.0
-                self.exit_span(span)
-                raise
-            span.duration_ms += (time.perf_counter() - started) * 1000.0
-            self.exit_span(span)
-            yield row
 
     def event(self, name: str, **attrs: Any) -> TraceEvent:
         event = TraceEvent(

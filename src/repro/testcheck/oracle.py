@@ -17,8 +17,9 @@ row              configures                                  comparator    appli
                  whole, all logic local
 ``faulted``      a seeded FaultInjector per channel,         equal         every SELECT
                  re-seeded per case, masked by retries
-``traced``       span tracing and the Query Store on —       equal         every SELECT
-                 observers must not change answers
+``traced``       span tracing, operator profiling and the    equal         every SELECT
+                 Query Store on — observers must not change
+                 answers
 ``parallel``     ``SET PARALLEL_DOP 4`` — exchanges run      equal         every SELECT
                  remote branches concurrently
 ``cached``       nothing: two legs, a cold compile then a    equal         every SELECT
@@ -201,9 +202,11 @@ def _reseed_faults(world: OracleWorld, case, cid: str) -> None:
 
 
 def _observe(world: OracleWorld) -> None:
-    # the observer-effect oracle: full observability on, results must
-    # still match the untraced reference row-for-row
+    # the observer-effect oracle: full observability on (both consumers
+    # of the operator meter, and the Query Store), results must still
+    # match the untraced reference row-for-row
     world.engine.tracing_enabled = True
+    world.engine.profiling_enabled = True
     world.engine.query_store_enabled = True
 
 

@@ -456,6 +456,10 @@ class TestHierarchicalSpans:
         # while the statement ran
         execute_span = next(s for s in trace.spans() if s.name == "execute")
         assert execute_span.net_ms == pytest.approx(total_simulated)
+        # each charge landed on exactly one span
+        assert sum(s.self_net_ms for s in trace.spans()) == pytest.approx(
+            total_simulated
+        )
         # remote rowsets carry their own (non-zero) network time
         query_spans = [
             s for s in trace.remote_command_spans()
@@ -592,3 +596,129 @@ class TestHierarchicalSpans:
         assert "== span tree ==" in text
         assert "remote_command -> remote0" in text
         assert "RemoteQuery" in text or "RemoteScan" in text
+
+
+# ----------------------------------------------------------------------
+# the operator meter: an operator's open-time work is its own
+# ----------------------------------------------------------------------
+POINT_READ = "SELECT c_id, c_balance FROM customer WHERE c_w_id = @w AND c_id = @c"
+POINT = {"w": 2, "c": 3}  # warehouse 2 lives on fed1, as customer_1
+
+
+def build_pv_world():
+    from repro.workloads.tpcc import build_federation
+
+    return build_federation(
+        member_count=4,
+        warehouses_per_member=1,
+        customers_per_warehouse=25,
+        latency_ms=2.0,
+    )
+
+
+def _walk(plan):
+    yield plan
+    for child in plan.children:
+        yield from _walk(child)
+
+
+class TestOperatorMeter:
+    @pytest.fixture
+    def fed(self):
+        fed = build_pv_world()
+        fed.coordinator.execute(POINT_READ, POINT)  # compile + cache
+        return fed
+
+    def test_remote_commands_nest_under_remote_query(self, fed):
+        engine = fed.coordinator
+        engine.tracing_enabled = True
+        trace = engine.execute(POINT_READ, POINT).trace
+        by_id = {s.span_id: s for s in trace.spans()}
+        execute_span = trace.spans("execute")[0]
+
+        def under_execute(span):
+            while span is not None:
+                if span is execute_span:
+                    return True
+                span = by_id.get(span.parent_id)
+            return False
+
+        commands = [
+            s for s in trace.remote_command_spans() if under_execute(s)
+        ]
+        kinds = sorted(s.attrs["operation"].split(":")[0] for s in commands)
+        # schema validation, then the pushed query
+        assert kinds == ["query", "table_info"]
+        for span in commands:
+            parent = by_id[span.parent_id]
+            assert parent.attrs.get("operator") == "RemoteQuery", (
+                span.attrs["operation"], parent,
+            )
+
+    def test_member_time_is_charged_to_remote_query(self, fed, monkeypatch):
+        import time
+
+        engine = fed.coordinator
+        engine.profiling_enabled = True
+        for member in fed.members:
+            def slow_execute(*args, _execute=member.execute, **kwargs):
+                time.sleep(0.02)
+                return _execute(*args, **kwargs)
+
+            monkeypatch.setattr(member, "execute", slow_execute)
+        result = engine.execute(POINT_READ, POINT)
+        assert result.rows
+        profiler = result.profile
+        remote = [
+            profiler.lookup(node) for node in _walk(result.plan)
+            if type(node).__name__ == "RemoteQuery"
+            and profiler.lookup(node) is not None
+        ]
+        assert len(remote) == 1  # startup filters skipped the others
+        assert remote[0].total_ms >= 20.0
+        concat = result.plan
+        assert type(concat).__name__ == "Concat"
+        below = sum(
+            profiler.lookup(child).total_ms for child in concat.children
+        )
+        assert profiler.lookup(concat).total_ms - below < 20.0
+
+    def test_explain_analyze_puts_schema_validation_on_remote_query(self, fed):
+        result = fed.coordinator.execute(
+            "EXPLAIN ANALYZE SELECT c_id, c_balance FROM customer "
+            "WHERE c_w_id = 2 AND c_id = 3"
+        )
+        lines = [row[0] for row in result.rows]
+        remote = [line for line in lines if "RemoteQuery(" in line]
+        assert len(remote) == 1
+        assert "[remote fed1: commands=2 " in remote[0]
+
+    def test_open_time_error_surfaces_the_same_observed_or_not(self):
+        from repro.errors import SchemaValidationError
+        from repro.testcheck.oracle import quiesce_leaks
+
+        def stale_plan_failure(observed):
+            fed = build_pv_world()
+            engine = fed.coordinator
+            engine.execute(POINT_READ, POINT)  # compile + cache
+            engine.tracing_enabled = observed
+            engine.profiling_enabled = observed
+            cached = {entry.key for entry in engine.plan_cache.entries()}
+            member_table = fed.members[1].catalog.database().table("customer_1")
+            member_table.schema_version += 1  # a member-side ALTER
+            with pytest.raises(SchemaValidationError) as caught:
+                engine.execute(POINT_READ, POINT)
+            dropped = cached - {e.key for e in engine.plan_cache.entries()}
+            engines = {"coordinator": engine}
+            engines.update((member.name, member) for member in fed.members)
+            assert quiesce_leaks(engines) == []
+            return (
+                type(caught.value),
+                str(caught.value),
+                dropped,
+                dict(engine.plan_cache.invalidations_by_reason),
+            )
+
+        plain = stale_plan_failure(False)
+        assert plain[2]  # the stale plan did not outlive the error
+        assert stale_plan_failure(True) == plain

@@ -30,6 +30,7 @@ import os
 import random
 import sys
 import threading
+import traceback
 
 import pytest
 
@@ -128,9 +129,9 @@ class TestConcurrencyBattery:
                     sql = rng.choice(STATEMENTS)
                     try:
                         result = session.execute(sql)
-                    except Exception as error:  # noqa: BLE001
+                    except Exception:  # noqa: BLE001
                         failures.append(
-                            (SCHED_SEED, index, sql, repr(error))
+                            (SCHED_SEED, index, sql, traceback.format_exc())
                         )
                         return
                     if sorted(result.rows) != expected[sql]:
@@ -195,8 +196,10 @@ class TestConcurrencyBattery:
                     (a, b), rows = rng.choice(sorted(expected.items()))
                     try:
                         got = session.execute(sql, {"a": a, "b": b}).rows
-                    except Exception as error:  # noqa: BLE001
-                        failures.append((SCHED_SEED, index, repr(error)))
+                    except Exception:  # noqa: BLE001
+                        failures.append(
+                            (SCHED_SEED, index, traceback.format_exc())
+                        )
                         return
                     if sorted(got) != rows:
                         failures.append((SCHED_SEED, index, (a, b), got))

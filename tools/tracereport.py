@@ -15,10 +15,12 @@ Usage::
     some-producer | python tools/tracereport.py -      # read stdin
 
 The span tree shows, per span: wall-clock ``duration_ms``, simulated
-network ``net_ms``, and the resilience attributes remote-command spans
-carry (retries, backoff ms, breaker fast-fails, round trips).  Point
-events (retries, fault injections, breaker transitions) print under
-the span that was current when they fired, with ``--events``.
+network ``net_ms`` (inclusive of the span's descendants) beside
+``self_net_ms`` (charged while the span itself was innermost), and the
+resilience attributes remote-command spans carry (retries, backoff ms,
+breaker fast-fails, round trips).  Point events (retries, fault
+injections, breaker transitions) print under the span that was current
+when they fired, with ``--events``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ def _format_span(span: Dict[str, Any]) -> str:
         _span_label(span),
         f"wall={span.get('duration_ms', 0.0):.3f}ms",
         f"net={span.get('net_ms', 0.0):.3f}ms",
+        f"self_net={span.get('self_net_ms', 0.0):.3f}ms",
     ]
     for attr in _RESILIENCE_ATTRS:
         value = span.get(attr)
