@@ -20,7 +20,6 @@ from repro.providers import (
 from repro.providers.sqlserver import SqlServerDataSource
 from repro.storage.catalog import Database
 from repro.types import Column, INT, Schema, varchar
-from repro.types.collation import ANSI_COLLATION
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ def figure1_world():
             channel=NetworkChannel("c2", latency_ms=1),
             sql_support=SqlSupportLevel.ODBC_CORE,
             dialect_name="oracle",
-            collation=ANSI_COLLATION,
+            identifier_quotes='""',
             provider_name="MSDAORA",
         ),
     )

@@ -105,7 +105,6 @@ class Decoder:
     def __init__(self, capabilities: ProviderCapabilities, server_name: str):
         self.capabilities = capabilities
         self.server_name = server_name
-        self.collation = capabilities.collation
         self._params: list[ScalarExpr] = []
         self._derived_counter = 0
 
@@ -215,7 +214,7 @@ class Decoder:
                 f"table {table.qualified_name} is not on server "
                 f"{self.server_name}"
             )
-        quote = self.collation.quote_identifier
+        quote = self.capabilities.quote_identifier
         name_parts = []
         if table.database:
             name_parts.append(quote(table.database))
@@ -304,7 +303,7 @@ class Decoder:
 
     def _decode_union(self, op: UnionAll, child_fn, children) -> _FlatQuery:
         self._require(Operation.UNION, "UNION ALL")
-        quote = self.collation.quote_identifier
+        quote = self.capabilities.quote_identifier
         branch_sqls = []
         for child, branch_map in zip(children, op.branch_maps):
             branch_flat = child_fn(child)
@@ -348,7 +347,7 @@ class Decoder:
                 f"provider on {self.server_name} does not support nested "
                 "SELECT statements"
             )
-        quote = self.collation.quote_identifier
+        quote = self.capabilities.quote_identifier
         inner_ids = (
             [cid for cid, __ in flat.select_items]
             if flat.select_items is not None
@@ -369,7 +368,7 @@ class Decoder:
         return out
 
     def _render(self, flat: _FlatQuery, output_ids: Sequence[ColumnId]) -> str:
-        quote = self.collation.quote_identifier
+        quote = self.capabilities.quote_identifier
         if flat.select_items is not None:
             chosen = {cid: text for cid, text in flat.select_items}
         else:
@@ -408,7 +407,7 @@ class Decoder:
         if flat.select_items is not None and any(
             item_cid == cid for item_cid, __ in flat.select_items
         ):
-            text = self.collation.quote_identifier(self._col_name(cid))
+            text = self.capabilities.quote_identifier(self._col_name(cid))
         else:
             text = flat.column_sql.get(cid)
         if text is None:

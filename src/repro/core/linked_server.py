@@ -167,11 +167,13 @@ class LinkedServer:
         attempt — a flapping member stops eating retry budget.
 
         Breaker evidence is asymmetric: any failure counts, but a
-        success only counts when the call produced actual channel
-        traffic.  Free metadata checks (schema rowsets charge no round
-        trips) can prove a member sick, not healthy — otherwise a hung
-        member whose pings still answer would reset the failure streak
-        every statement and the breaker could never trip.
+        success only counts when the call paid a round trip, as every
+        request does (an empty rowset open included).  Schema
+        validation pays none — its metadata travels with the command's
+        own message — so it can prove a member sick, not healthy —
+        otherwise a hung member whose pings still answer would reset
+        the failure streak every statement and the breaker could never
+        trip.
         """
         description = description or self.name
         ledger = current_ledger()

@@ -14,7 +14,7 @@ branches (the gateway to partitioned-view pruning), constant folding,
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 from repro.algebra.expressions import (
     AggregateCall,
@@ -48,29 +48,24 @@ from repro.core.constraints import (
 )
 from repro.types.datatypes import varchar
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.optimizer import OptimizerOptions
+
 #: bound on rewrite passes per fixpoint loop
 _MAX_PASSES = 10
 
 
-class NormalizeOptions:
-    """Feature switches (ablation experiments flip these)."""
-
-    def __init__(
-        self,
-        static_pruning: bool = True,
-        startup_filters: bool = True,
-        partial_aggregation: bool = True,
-    ):
-        self.static_pruning = static_pruning
-        self.startup_filters = startup_filters
-        self.partial_aggregation = partial_aggregation
-
-
 def normalize(
-    root: LogicalOp, options: Optional[NormalizeOptions] = None
+    root: LogicalOp, options: Optional[OptimizerOptions] = None
 ) -> LogicalOp:
-    """Rewrite to fixpoint (bounded), then prune unused columns."""
-    options = options or NormalizeOptions()
+    """Rewrite to fixpoint (bounded), then prune unused columns.
+    ``options`` is the optimizer's: its ``enable_static_pruning``,
+    ``enable_startup_filters`` and ``enable_partial_aggregation``
+    switches gate the rewrites they name (all on by default)."""
+    if options is None:
+        from repro.core.optimizer import OptimizerOptions
+
+        options = OptimizerOptions()
     for __ in range(_MAX_PASSES):
         rewritten, changed = _rewrite(root, options)
         root = rewritten
@@ -156,7 +151,7 @@ def _prune(op: LogicalOp, required: frozenset) -> LogicalOp:
     return op
 
 
-def _rewrite(op: LogicalOp, options: NormalizeOptions) -> tuple[LogicalOp, bool]:
+def _rewrite(op: LogicalOp, options: OptimizerOptions) -> tuple[LogicalOp, bool]:
     changed = False
     new_inputs = []
     for child in op.inputs:
@@ -171,7 +166,7 @@ def _rewrite(op: LogicalOp, options: NormalizeOptions) -> tuple[LogicalOp, bool]
     return op, changed
 
 
-def _rewrite_node(op: LogicalOp, options: NormalizeOptions) -> Optional[LogicalOp]:
+def _rewrite_node(op: LogicalOp, options: OptimizerOptions) -> Optional[LogicalOp]:
     """One local rewrite, or None when nothing applies."""
     if isinstance(op, Select):
         return _rewrite_select(op, options)
@@ -189,7 +184,7 @@ def _rewrite_node(op: LogicalOp, options: NormalizeOptions) -> Optional[LogicalO
         return None  # scalar aggregate over empty input still yields a row
     if (
         isinstance(op, Aggregate)
-        and options.partial_aggregation
+        and options.enable_partial_aggregation
         and isinstance(op.inputs[0], UnionAll)
     ):
         return _push_partial_aggregates(op, op.inputs[0])
@@ -280,7 +275,7 @@ def _push_partial_aggregates(op: Aggregate, union: UnionAll) -> Optional[Logical
 # Select rewrites
 # ----------------------------------------------------------------------
 
-def _rewrite_select(op: Select, options: NormalizeOptions) -> Optional[LogicalOp]:
+def _rewrite_select(op: Select, options: OptimizerOptions) -> Optional[LogicalOp]:
     child = op.child
     # constant-fold the predicate
     folded = _fold(op.predicate)
@@ -296,7 +291,7 @@ def _rewrite_select(op: Select, options: NormalizeOptions) -> Optional[LogicalOp
             child.child, BinaryOp("AND", child.predicate, op.predicate)
         )
     # static pruning: predicate domains vs child base domains
-    if options.static_pruning:
+    if options.enable_static_pruning:
         predicate_domains = derive_domains(op.predicate)
         base_domains = _base_domains(child)
         if contradicts(predicate_domains, base_domains):
@@ -324,7 +319,7 @@ def _rewrite_select(op: Select, options: NormalizeOptions) -> Optional[LogicalOp
             branches.append(Select(branch, remapped))
         return UnionAll(branches, child.output_defs, child.branch_maps)
     # startup-filter derivation over a Get with CHECK domains
-    if options.startup_filters and isinstance(child, Get):
+    if options.enable_startup_filters and isinstance(child, Get):
         derived = _derive_startup_tests(op, child)
         if derived is not None:
             return derived

@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 from repro import ddl
 from repro.explain import explain
 from repro.algebra.logical import LogicalOp
-from repro.core.cost import CostModel
 from repro.core.linked_server import LinkedServer
 from repro.core.optimizer import OptimizationResult, Optimizer, OptimizerOptions
 from repro.core.physical import PhysicalOp
@@ -98,15 +97,12 @@ class ServerInstance:
         self,
         name: str = "local",
         optimizer_options: Optional[OptimizerOptions] = None,
-        cost_model: Optional[CostModel] = None,
         default_database: str = "master",
     ):
         self.name = name
         self.catalog = Catalog(default_database)
         self.linked_servers: Dict[str, LinkedServer] = {}
-        self.optimizer = Optimizer(
-            {}, cost_model or CostModel(), optimizer_options
-        )
+        self.optimizer = Optimizer({}, optimizer_options)
         self.fulltext_service: Optional[FullTextService] = None
         self._fulltext_bindings: Dict[tuple, FullTextBinding] = {}
         self._openrowset_providers: Dict[str, Callable[..., DataSource]] = {}
@@ -254,7 +250,7 @@ class ServerInstance:
     # ==================================================================
     def create_session(self, name: str = "") -> Session:
         """Mint an independent session: its settings (PARALLEL_DOP,
-        PARTIAL_RESULTS, collation, active txn) never leak into other
+        PARTIAL_RESULTS, active txn) never leak into other
         sessions, so many threads can execute concurrently against
         this one engine (one statement at a time per session)."""
         with self._sessions_lock:

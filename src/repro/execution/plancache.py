@@ -390,7 +390,6 @@ def _settings_fingerprint(engine: Any, session: Any) -> tuple:
     return (
         bool(session.partial_results),
         session.parallel_dop > 1,
-        session.collation.name,
         tuple(
             sorted(
                 (key, repr(value))

@@ -392,7 +392,6 @@ def _dm_exec_sessions(engine: Any) -> tuple[Columns, list[tuple]]:
         ("name", varchar(128)),
         ("parallel_dop", INT),
         ("partial_results", INT),
-        ("collation", varchar(128)),
         ("statement_count", BIGINT),
         ("open_txn", INT),
     ]
@@ -402,7 +401,6 @@ def _dm_exec_sessions(engine: Any) -> tuple[Columns, list[tuple]]:
             session.name,
             session.parallel_dop,
             1 if session.partial_results else 0,
-            session.collation.name,
             session.statement_count,
             1 if session.txn is not None else 0,
         )

@@ -3,8 +3,8 @@
 :class:`ProviderCapabilities` is the one description of what a provider
 can do — the facts OLE DB spreads over ``IDBInfo`` and the DBPROP
 property sets (the ``DBPROP_SQLSUPPORT`` dialect level, nested-select
-support, parallel scans, date literal syntax: Section 4.1.3's
-"additional properties").  The optimizer consumes it: the provider
+support, parallel scans, date literal syntax, identifier quoting:
+Section 4.1.3's "additional properties").  The optimizer consumes it: the provider
 category (simple / query / SQL / index, Section 3.3), which relational
 operations can be remoted, and the decoder's dialect hints.
 """
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import enum
 from typing import Any, Dict, Iterable
-
-from repro.types.collation import Collation, DEFAULT_COLLATION
 
 
 class SqlSupportLevel(enum.IntEnum):
@@ -127,7 +125,7 @@ class ProviderCapabilities:
         supports_parallel_scan: bool = False,
         supports_transactions: bool = False,
         date_literal_format: str = "iso",
-        collation: Collation = DEFAULT_COLLATION,
+        identifier_quotes: str = "[]",
         extra_operations: Iterable[Operation] = (),
         removed_operations: Iterable[Operation] = (),
         dialect_name: str = "generic",
@@ -140,7 +138,9 @@ class ProviderCapabilities:
         self.supports_parallel_scan = supports_parallel_scan
         self.supports_transactions = supports_transactions
         self.date_literal_format = date_literal_format
-        self.collation = collation
+        #: the opening and closing identifier quote: ``[]`` for
+        #: T-SQL, ``""`` for ANSI SQL
+        self.identifier_quotes = identifier_quotes
         self.dialect_name = dialect_name
         ops = set(_LEVEL_OPERATIONS[sql_support])
         ops.update(extra_operations)
@@ -170,6 +170,12 @@ class ProviderCapabilities:
     def can_remote(self, operation: Operation) -> bool:
         """May the DHQP push ``operation`` to this provider?"""
         return operation in self.operations
+
+    def quote_identifier(self, identifier: str) -> str:
+        """Quote an identifier per this provider's convention."""
+        open_quote, close_quote = self.identifier_quotes
+        inner = identifier.replace(close_quote, close_quote * 2)
+        return f"{open_quote}{inner}{close_quote}"
 
     def describe(self) -> Dict[str, Any]:
         """Capability matrix row (experiments E2/E3)."""

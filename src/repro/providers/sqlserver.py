@@ -7,7 +7,7 @@ remote server reachable over a network channel.
 
 The same class models non-SQL-Server relational sources (Oracle- or
 DB2-like): construct it with a lower :class:`SqlSupportLevel`, a
-different dialect name, and a different collation, and the DHQP's
+different dialect name, and different identifier quotes, and the DHQP's
 decoder will restrict what it remotes accordingly (Section 3.3:
 "The DHQP constructs plans such that the provider's capabilities are
 fully used while not overshooting its limitations").
@@ -26,7 +26,6 @@ from repro.oledb.rowset import Rowset
 from repro.providers.base import TableBackedSession
 from repro.storage.catalog import Catalog
 from repro.storage.transactions import ResourceManager
-from repro.types.collation import Collation, DEFAULT_COLLATION
 from repro.types.schema import Schema
 
 
@@ -64,7 +63,7 @@ class SqlServerDataSource(DataSource):
         channel: Optional[NetworkChannel] = None,
         sql_support: SqlSupportLevel = SqlSupportLevel.SQL92_FULL,
         dialect_name: str = "tsql",
-        collation: Collation = DEFAULT_COLLATION,
+        identifier_quotes: str = "[]",
         supports_nested_select: bool = True,
         provider_name: Optional[str] = None,
         database_name: Optional[str] = None,
@@ -82,7 +81,7 @@ class SqlServerDataSource(DataSource):
                 supports_nested_select=supports_nested_select,
                 supports_parallel_scan=dialect_name == "tsql",
                 supports_transactions=True,
-                collation=collation,
+                identifier_quotes=identifier_quotes,
                 dialect_name=dialect_name,
             ),
         )

@@ -181,7 +181,7 @@ def prune_unreachable_members(
     # must not be stamped partial, while one collapsed onto a dead
     # member degrades to empty
     members = pv_member_tables(root)
-    root = normalize(root, engine.optimizer.normalize_options())
+    root = normalize(root, engine.optimizer.options)
     health = engine.health
     in_doubt = engine.dtc.in_doubt_branches()
     probing: List[str] = []

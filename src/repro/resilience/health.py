@@ -28,7 +28,7 @@ and ``sys.dm_server_health`` renders its rows.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.errors import CircuitOpenError
 
@@ -299,14 +299,17 @@ class HealthRegistry:
         return self.clock.now_ms < (breaker.next_probe_at_ms or 0.0)
 
     def open_servers(self) -> list[str]:
-        return [b.name for b in self._breakers.values() if b.state == OPEN]
+        return [b.name for b in self.breakers() if b.state == OPEN]
 
     def tick(self, ms: Optional[float] = None) -> None:
         """Advance simulated time (once per statement by the engine)."""
         self.clock.advance(self.STATEMENT_TICK_MS if ms is None else ms)
 
-    def breakers(self) -> Iterable[CircuitBreaker]:
-        return self._breakers.values()
+    def breakers(self) -> list[CircuitBreaker]:
+        """A snapshot taken under the lock: another session may insert
+        a breaker (first touch of a member) while the caller iterates."""
+        with self._lock:
+            return list(self._breakers.values())
 
     def reset(self) -> None:
         self._breakers.clear()

@@ -2,7 +2,7 @@
 
 A :class:`Session` owns everything that used to live as mutable
 singletons on :class:`~repro.engine.ServerInstance` — ``PARALLEL_DOP``,
-``PARTIAL_RESULTS``, the active collation, the current transaction —
+``PARTIAL_RESULTS``, the current transaction —
 so many threads can run statements against one engine concurrently
 without settings leaking between them.  ``engine.execute`` without an
 explicit session runs on the engine's *default session*, preserving
@@ -23,7 +23,6 @@ from typing import Any, Optional
 
 from repro.errors import SqlError, UnknownSetOptionError
 from repro.observability.trace import NO_SPAN
-from repro.types.collation import DEFAULT_COLLATION
 
 __all__ = ["Session", "StatementContext", "apply_set"]
 
@@ -44,8 +43,6 @@ class Session:
         self.parallel_dop = 1
         #: answer PV reads from live partitions when members are dark
         self.partial_results = False
-        #: active collation (plan-affecting: comparisons fold under it)
-        self.collation = DEFAULT_COLLATION
         #: active local transaction attached to DML when none is passed
         self.txn: Optional[Any] = None
         #: explicit workload-group binding (SET WORKLOAD GROUP 'name');

@@ -3,29 +3,22 @@
 The paper's decoder "responds to different parameter settings of the
 connection ... e.g. the SQL dialect the remote sources support, data
 collation" (Section 4.1.3).  We model a collation as a case-sensitivity
-flag plus an identifier-quoting convention, which is what the decoder
-needs to emit compliant SQL.
+flag.  Every comparison folds under :data:`DEFAULT_COLLATION`; a
+provider's identifier quoting is its own capability
+(``ProviderCapabilities.identifier_quotes``).
 """
 
 from __future__ import annotations
 
 
 class Collation:
-    """String comparison + identifier quoting rules for a data source."""
+    """String comparison rules."""
 
-    __slots__ = ("name", "case_sensitive", "quote_open", "quote_close")
+    __slots__ = ("name", "case_sensitive")
 
-    def __init__(
-        self,
-        name: str,
-        case_sensitive: bool = False,
-        quote_open: str = "[",
-        quote_close: str = "]",
-    ):
+    def __init__(self, name: str, case_sensitive: bool = False):
         self.name = name
         self.case_sensitive = case_sensitive
-        self.quote_open = quote_open
-        self.quote_close = quote_close
 
     def normalize(self, text: str) -> str:
         """Canonical comparison key for a string under this collation."""
@@ -34,19 +27,9 @@ class Collation:
     def equals(self, a: str, b: str) -> bool:
         return self.normalize(a) == self.normalize(b)
 
-    def quote_identifier(self, identifier: str) -> str:
-        """Quote an identifier per this source's convention."""
-        inner = identifier.replace(self.quote_close, self.quote_close * 2)
-        return f"{self.quote_open}{inner}{self.quote_close}"
-
     def __repr__(self) -> str:
         return f"Collation({self.name})"
 
 
-#: SQL Server default: case-insensitive, bracket quoting.
+#: SQL Server default: case-insensitive.
 DEFAULT_COLLATION = Collation("Latin1_General_CI_AS", case_sensitive=False)
-
-#: ANSI double-quote convention (used by the Oracle-like provider).
-ANSI_COLLATION = Collation(
-    "ANSI_CS", case_sensitive=True, quote_open='"', quote_close='"'
-)

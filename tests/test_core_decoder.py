@@ -11,7 +11,6 @@ from repro.network import NetworkChannel
 from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_sql
-from repro.types.collation import ANSI_COLLATION
 
 
 @pytest.fixture
@@ -173,7 +172,7 @@ class TestDialects:
         memo = Memo()
         group = memo.insert_tree(normalize(bound.root))
         caps = ProviderCapabilities(
-            SqlSupportLevel.SQL92_FULL, collation=ANSI_COLLATION
+            SqlSupportLevel.SQL92_FULL, identifier_quotes='""'
         )
         decoded = Decoder(caps, "r1").decode_group(group)
         assert '"orders"' in decoded.sql_text

@@ -20,13 +20,14 @@ from repro.algebra.logical import (
 )
 from repro.core.constraints import DomainTest
 from repro.core.memo import Memo
+from repro.core.optimizer import OptimizerOptions
 from repro.core.rules.exploration import (
     JoinAssociate,
     JoinCommute,
     LocalityGrouping,
 )
 from repro.core.rules.base import RuleContext
-from repro.core.rules.normalization import NormalizeOptions, normalize
+from repro.core.rules.normalization import normalize
 from repro.engine import ServerInstance
 from repro.network import NetworkChannel
 from repro.sql.binder import Binder
@@ -99,7 +100,7 @@ class TestNormalization:
     def test_static_pruning_disabled(self, engine):
         root = bind(engine, "SELECT t.b FROM t WHERE t.a = 500")
         normalized = normalize(
-            root, NormalizeOptions(static_pruning=False)
+            root, OptimizerOptions(enable_static_pruning=False)
         )
         assert not find_ops(normalized, EmptyTable)
 
@@ -136,7 +137,7 @@ class TestNormalization:
     def test_startup_derivation_disabled(self, engine):
         root = bind(engine, "SELECT t.b FROM t WHERE t.a = @p")
         normalized = normalize(
-            root, NormalizeOptions(startup_filters=False)
+            root, OptimizerOptions(enable_startup_filters=False)
         )
         selects = find_ops(normalized, Select)
         kinds = [type(c) for c in conjuncts(selects[0].predicate)]

@@ -156,6 +156,19 @@ class TestCircuitBreaker:
         assert registry.is_open("r0")
         assert registry.open_servers() == ["r0"]
 
+    def test_breakers_is_a_snapshot(self):
+        # another session's first touch of a member inserts a breaker
+        # while this one iterates (the plan cache does, every statement)
+        registry = HealthRegistry("e")
+        registry.breaker("r0")
+        registry.breaker("r1")
+        seen = []
+        for breaker in registry.breakers():
+            seen.append(breaker.name)
+            registry.breaker(f"late{len(seen)}")
+        assert seen == ["r0", "r1"]
+        assert len(registry.breakers()) == 4
+
 
 # ----------------------------------------------------------------------
 # breaker wiring: linked servers, metrics, DMV

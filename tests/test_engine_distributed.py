@@ -143,14 +143,13 @@ class TestLowerCapabilitySqlSources:
                 f"INSERT INTO emp VALUES ({i}, {i % 4}, {i * 100.0})"
             )
         from repro.providers.sqlserver import SqlServerDataSource
-        from repro.types.collation import ANSI_COLLATION
 
         ds = SqlServerDataSource(
             backend,
             channel=NetworkChannel("ora"),
             sql_support=SqlSupportLevel.SQL_MINIMUM,
             dialect_name="oracle",
-            collation=ANSI_COLLATION,
+            identifier_quotes='""',
             provider_name="MSDAORA",
         )
         local.add_linked_server("ora", ds)
@@ -166,7 +165,7 @@ class TestLowerCapabilitySqlSources:
             n for n in r.plan.walk() if isinstance(n, P.RemoteQuery)
         ]
         assert remote_queries
-        # ANSI collation quotes with double quotes
+        # ANSI identifier quoting: double quotes
         assert '"emp"' in remote_queries[0].sql_text
 
     def test_group_by_stays_local(self, oracle_pair):

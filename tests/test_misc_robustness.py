@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 from repro import errors
 from repro.errors import LexerError, ParseError, ReproError
 from repro.sql.parser import parse_sql
-from repro.types.collation import ANSI_COLLATION, Collation, DEFAULT_COLLATION
+from repro.oledb.properties import ProviderCapabilities, SqlSupportLevel
+from repro.types.collation import Collation, DEFAULT_COLLATION
+
+
+def _quote(identifier: str, quotes: str = "[]") -> str:
+    """Quote as a provider with ``identifier_quotes=quotes`` does."""
+    capabilities = ProviderCapabilities(
+        SqlSupportLevel.SQL92_FULL, identifier_quotes=quotes
+    )
+    return capabilities.quote_identifier(identifier)
 
 
 class TestCollation:
@@ -16,20 +25,22 @@ class TestCollation:
         assert not DEFAULT_COLLATION.equals("Seattle", "Tacoma")
 
     def test_ansi_case_sensitive(self):
-        assert not ANSI_COLLATION.equals("Seattle", "SEATTLE")
+        ansi = Collation("ANSI_CS", case_sensitive=True)
+        assert not ansi.equals("Seattle", "SEATTLE")
 
+    # identifier quoting is a provider capability, not a collation
     def test_bracket_quoting(self):
-        assert DEFAULT_COLLATION.quote_identifier("My Table") == "[My Table]"
+        assert _quote("My Table") == "[My Table]"
 
     def test_bracket_escaping(self):
-        assert DEFAULT_COLLATION.quote_identifier("a]b") == "[a]]b]"
+        assert _quote("a]b") == "[a]]b]"
 
     def test_ansi_quoting(self):
-        assert ANSI_COLLATION.quote_identifier("emp") == '"emp"'
+        assert _quote("emp", '""') == '"emp"'
+        assert _quote('a"b', '""') == '"a""b"'
 
     def test_custom_collation(self):
-        backtick = Collation("mysqlish", quote_open="`", quote_close="`")
-        assert backtick.quote_identifier("t") == "`t`"
+        assert _quote("t", "``") == "`t`"
 
 
 class TestErrorHierarchy:

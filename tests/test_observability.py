@@ -29,6 +29,15 @@ PAPER_SQL = (
     "WHERE c.c_nationkey = n.n_nationkey "
     "AND n.n_nationkey = s.s_nationkey"
 )
+#: Example 1 with the customer-supplier join stated between the two
+#: remote tables, so it is pushed: the cheapest plan ships one
+#: RemoteQuery and joins its result to the local nation table
+REMOTE_JOIN_SQL = (
+    "SELECT c.c_name FROM remote0.master.dbo.customer c, "
+    "remote0.master.dbo.supplier s, nation n "
+    "WHERE c.c_nationkey = s.s_nationkey "
+    "AND n.n_nationkey = s.s_nationkey"
+)
 
 
 def build_world():
@@ -139,7 +148,7 @@ class TestQueryTrace:
     def test_trace_network_attribution(self, world):
         local, __, __c = world
         local.tracing_enabled = True
-        trace = local.execute(PAPER_SQL).trace
+        trace = local.execute(REMOTE_JOIN_SQL).trace
         events = trace.network_events()
         assert len(events) == 1
         event = events[0]
@@ -166,7 +175,7 @@ class TestQueryTrace:
 class TestNetworkAttribution:
     def test_remote_statement_attributes_traffic(self, world):
         local, __, channel = world
-        result = local.execute(PAPER_SQL)
+        result = local.execute(REMOTE_JOIN_SQL)
         assert "remote0" in result.network
         delta = result.network["remote0"]
         assert delta["bytes_sent"] > 0
@@ -362,7 +371,7 @@ class TestSystemViews:
 
     def test_dm_os_performance_counters(self, world):
         local, __, __c = world
-        local.execute(PAPER_SQL)
+        local.execute(REMOTE_JOIN_SQL)
         result = local.execute(
             "SELECT counter_name, cntr_value "
             "FROM sys.dm_os_performance_counters"
@@ -447,7 +456,7 @@ class TestHierarchicalSpans:
                 assert attr in span.attrs
 
     def test_span_network_ms_reconciles_with_result(self, world):
-        __, result = self._traced(world)
+        __, result = self._traced(world, REMOTE_JOIN_SQL)
         trace = result.trace
         total_simulated = sum(
             d["simulated_ms"] for d in result.network.values()
@@ -561,7 +570,7 @@ class TestHierarchicalSpans:
         assert ledger.on(server.channel).breaker_fast_fails == 1
 
     def test_point_events_carry_current_span_id(self, world):
-        __, result = self._traced(world)
+        __, result = self._traced(world, REMOTE_JOIN_SQL)
         trace = result.trace
         remote_events = [
             e for e in trace.events if e.name == "remote_query"

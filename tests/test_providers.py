@@ -243,7 +243,8 @@ class TestFullTextProvider:
 
     def test_scope_rowset_is_charged_like_command_rows(self):
         """SCOPE() rows cross the provider's channel, as command rows
-        do: bytes received and one batch round trip."""
+        do: bytes received, and one round trip for the request and its
+        one batch of rows."""
         svc = FullTextService()
         svc.create_catalog("lit", "filesystem").index_directory(
             {
@@ -260,7 +261,7 @@ class TestFullTextProvider:
         assert len(cmd.execute().fetch_all()) == 3
         # three rows of Path (14 chars + 2) and Size (4), one batch
         assert by_command.stats.bytes_received == 60
-        assert by_command.stats.round_trips == 2  # the command + the batch
+        assert by_command.stats.round_trips == 1  # the command + its batch
 
         by_scope = NetworkChannel("wan", latency_ms=5)
         ds = FullTextDataSource(svc, "lit", channel=by_scope)
