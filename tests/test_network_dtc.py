@@ -25,7 +25,7 @@ class TestNetworkChannel:
     def test_stream_rows_batches_round_trips(self):
         ch = NetworkChannel("c", latency_ms=1, mb_per_second=100)
         rows = [(i,) for i in range(300)]
-        list(ch.stream_rows(rows, batch_rows=128))
+        list(ch.deliver(rows))  # the open's request carries batch one
         assert ch.stats.round_trips == 3  # ceil(300/128)
 
     def test_transfer_time_scales_with_bandwidth(self):

@@ -240,11 +240,11 @@ class TestChannelFaults:
         channel = NetworkChannel("wan", latency_ms=0.5)
         channel.fault_injector = FaultInjector(seed=0)
         rows = [(i,) for i in range(10)]
-        # second batch boundary fails: batch_rows=4 -> fault at row 4
+        # the rowset open's request is the first batch boundary
         channel.fault_injector.fail_next(TRANSIENT)
         out = []
         with pytest.raises(TransientNetworkError):
-            for row in channel.stream_rows(iter(rows), batch_rows=4):
+            for row in channel.deliver(iter(rows)):
                 out.append(row)
         assert out == []  # first batch boundary already faulted
 
