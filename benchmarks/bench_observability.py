@@ -21,19 +21,31 @@ all-disabled per-statement overhead exceeds the budget).  Results
 accumulate in ``BENCH_observability.json`` at the repo root.
 """
 
+import statistics
 import time
 
 from benchmarks.conftest import SMOKE, Recorder, print_table
 from repro import Engine, NetworkChannel, ServerInstance
 
-STATEMENTS = 30 if SMOKE else 120
+#: statements per mode in one round; the four modes take turns for
+#: ROUNDS rounds, so a burst of machine noise hits every mode alike
+STATEMENTS = 6 if SMOKE else 20
+ROUNDS = 5 if SMOKE else 25
+MODES = (
+    ("disabled", False, False),
+    ("tracing", True, False),
+    ("query_store", False, True),
+    ("both", True, True),
+)
 #: CI budget for the all-disabled path, per statement (generous: CI
 #: runners are slow and the statement itself does real work — the
 #: budget guards against observability hooks leaking onto the hot
 #: path, not against the engine being an interpreter)
 DISABLED_BUDGET_MS = 50.0
 
-_record = Recorder("observability", {"statements": STATEMENTS})
+_record = Recorder(
+    "observability", {"statements": STATEMENTS, "rounds": ROUNDS}
+)
 
 
 def build_observability_world(mb_per_second: float = 0.2):
@@ -63,46 +75,59 @@ PUSHDOWN_SQL = (
 )
 
 
-def _sweep(engine, tracing: bool, store: bool) -> dict:
+def _batch_ms(engine, tracing: bool, store: bool) -> float:
+    """CPU ms per statement of one batch of STATEMENTS in one mode."""
     engine.tracing_enabled = tracing
     engine.query_store_enabled = store
-    engine.execute(PUSHDOWN_SQL)  # warm metadata outside the timing
-    started = time.perf_counter()
+    started = time.process_time()
     for __ in range(STATEMENTS):
         engine.execute(PUSHDOWN_SQL)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return {
-        "tracing": tracing,
-        "query_store": store,
-        "ms_per_statement": elapsed_ms / STATEMENTS,
-    }
+    return (time.process_time() - started) * 1000.0 / STATEMENTS
+
+
+def _sweep(engine) -> dict:
+    """Each mode's median and quartiles of per-statement CPU ms over
+    ROUNDS rounds; every round runs one batch per mode, the order
+    rotated so no mode always follows the same one."""
+    samples: dict = {name: [] for name, __t, __s in MODES}
+    for name, tracing, store in MODES:
+        _batch_ms(engine, tracing, store)  # warm metadata and caches
+    for index in range(ROUNDS):
+        shift = index % len(MODES)
+        for name, tracing, store in MODES[shift:] + MODES[:shift]:
+            samples[name].append(_batch_ms(engine, tracing, store))
+    cells = {}
+    for name, tracing, store in MODES:
+        q1, median, q3 = statistics.quantiles(samples[name], n=4)
+        cells[name] = {
+            "tracing": tracing,
+            "query_store": store,
+            "ms_per_statement": median,
+            "ms_per_statement_q1": q1,
+            "ms_per_statement_q3": q3,
+        }
+    return cells
 
 
 def test_observability_overhead(benchmark):
-    """Per-statement cost of each observability mode."""
+    """Per-statement CPU cost of each observability mode."""
     local, __, __ch = build_observability_world(mb_per_second=50.0)
-    modes = [
-        ("disabled", False, False),
-        ("tracing", True, False),
-        ("query_store", False, True),
-        ("both", True, True),
-    ]
-    cells = {}
-    for name, tracing, store in modes:
-        cells[name] = _sweep(local, tracing, store)
+    cells = _sweep(local)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     base = cells["disabled"]["ms_per_statement"]
     rows = [
         (
             name,
-            f"{cells[name]['ms_per_statement']:.3f}ms",
-            f"x{cells[name]['ms_per_statement'] / base:.2f}",
+            f"{cell['ms_per_statement']:.3f}ms",
+            f"{cell['ms_per_statement_q3'] - cell['ms_per_statement_q1']:.3f}ms",
+            f"x{cell['ms_per_statement'] / base:.2f}",
         )
-        for name, __t, __s in modes
+        for name, cell in cells.items()
     ]
     print_table(
-        f"E16: observability overhead ({STATEMENTS} statements/mode)",
-        ["mode", "ms/statement", "vs disabled"],
+        f"E16: observability overhead (median of {ROUNDS} rounds x "
+        f"{STATEMENTS} statements/mode, CPU time)",
+        ["mode", "ms/statement", "IQR", "vs disabled"],
         rows,
     )
     # hard CI gate: with everything off, the hooks must stay off the

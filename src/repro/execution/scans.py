@@ -25,21 +25,30 @@ def _span_wrapped_rows(
     operator's span is current — and re-entered around every subsequent
     pull, so per-batch network charges land on it even though the
     stream stays fully lazy.  The rowset itself is also opened inside
-    the span (the command dispatch is part of the remote operation).
+    the span (the command dispatch is part of the remote operation),
+    and a stream the consumer abandons is closed inside it, so the
+    message it was carrying is charged there too.
     """
     span = RemoteCommandSpan(
         current_ledger(), channel, server_name, description
     )
     rows: Iterator[Row] | None = None
-    while True:
-        with span:
-            if rows is None:
-                rows = iter(open_fn())
-            try:
-                row = next(rows)
-            except StopIteration:
-                return
-        yield row
+    try:
+        while True:
+            with span:
+                if rows is None:
+                    rows = iter(open_fn())
+                try:
+                    row = next(rows)
+                except StopIteration:
+                    rows = None
+                    return
+            yield row
+    finally:
+        close = getattr(rows, "close", None)
+        if close is not None:
+            with span:
+                close()
 
 
 def _resilient_rows(server: Any, open_fn, description: str) -> Iterator[Row]:

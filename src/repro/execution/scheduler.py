@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
+from contextlib import closing
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.network.ledger import StatementLedger, bind_ledger, current_ledger
@@ -65,7 +66,7 @@ def assign_slots(costs: Sequence[float], dop: int) -> List[int]:
 
 class BranchTask:
     """One exchange input branch: a thunk that opens the branch's
-    mapped row iterator (called on the worker thread), its estimated
+    mapped row generator (called on the worker thread), its estimated
     cost for slot assignment, and the slot it landed on."""
 
     __slots__ = ("index", "open_rows", "est_cost", "slot")
@@ -151,8 +152,9 @@ class ExchangeScheduler:
             )
         failure = None
         try:
-            with bind_ledger(ledger):
-                rows = task.open_rows()
+            # the branch's streams close while its ledger is bound, so
+            # a cancelled branch charges the rows it carried to it
+            with bind_ledger(ledger), closing(task.open_rows()) as rows:
                 while not self.cancel.is_set():
                     if permits is not None:
                         permits.acquire()

@@ -425,7 +425,11 @@ class QueryStore:
 
     # -- lookup ----------------------------------------------------------------
     def queries(self) -> list[QueryEntry]:
-        return list(self._queries.values())
+        """A snapshot of the entries, taken under the lock: another
+        session's :meth:`record` may insert or evict while the caller
+        iterates."""
+        with self._lock:
+            return list(self._queries.values())
 
     def get(self, qhash: str) -> Optional[QueryEntry]:
         return self._queries.get(qhash)
@@ -452,7 +456,7 @@ class QueryStore:
         """
         factor = self.REGRESSION_THRESHOLD if threshold is None else threshold
         out: list[Regression] = []
-        for entry in self._queries.values():
+        for entry in self.queries():
             active = entry.active_fingerprint
             prior = entry.previous_fingerprint
             if active is None or prior is None or active == prior:
@@ -523,7 +527,7 @@ class QueryStore:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly dump (``tools/tracereport.py`` input)."""
         queries = []
-        for entry in self._queries.values():
+        for entry in self.queries():
             queries.append(
                 {
                     "query_id": entry.query_id,

@@ -88,8 +88,10 @@ class Histogram:
         last = len(runs) - 1
         for index, (value, count) in enumerate(runs):
             # a run closes a bucket when accumulated depth is reached or
-            # it is the last run
-            if range_rows + count >= target_depth or index == last:
+            # it is the first or last run: the first bucket holds only
+            # the minimum (SQL Server's first step has RANGE_ROWS 0),
+            # since below it there is no bound to interpolate from
+            if range_rows + count >= target_depth or index in (0, last):
                 buckets.append(
                     HistogramBucket(value, count, range_rows, distinct_range)
                 )
@@ -146,6 +148,9 @@ class Histogram:
         """Estimated number of rows whose value falls in ``interval``."""
         if not self.buckets or interval.is_empty():
             return 0.0
+        if interval.is_point():
+            # a point has no width to interpolate over inside a bucket
+            return self.estimate_equal(interval.low)
         total = 0.0
         prev_bound: Any = None
         for bucket in self.buckets:
@@ -173,7 +178,7 @@ class Histogram:
         contains-check otherwise.
         """
         if low is None:
-            # first bucket has no interior by construction
+            # the first bucket holds only its upper bound (see build)
             return 0.0
         bucket_iv = Interval(low, high, False, False)
         overlap = bucket_iv.intersect(interval)

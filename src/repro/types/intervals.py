@@ -306,9 +306,9 @@ class Interval:
 
     def is_point(self) -> bool:
         return (
-            _cmp(self.low, self.high) == 0
-            and self.low_closed
+            self.low_closed
             and self.high_closed
+            and _cmp(self.low, self.high) == 0
         )
 
     def contains(self, value: Any) -> bool:

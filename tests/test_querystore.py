@@ -8,6 +8,7 @@ from repro import Engine, FaultInjector, NetworkChannel, ServerInstance
 from repro.core.physical import plan_fingerprint, plan_shape
 from repro.observability.querystore import (
     QueryStore,
+    RuntimeStats,
     normalize_query_text,
     query_hash,
 )
@@ -183,6 +184,35 @@ class TestRecording:
         assert len(local.query_store) <= 5
 
 
+LATE_SQL = "SELECT 'recorded mid-iteration'"
+
+
+def _record_late_on_first_call(monkeypatch, attribute, store, late):
+    """Make the first use of ``RuntimeStats.<attribute>`` — which the
+    store reaches from inside its loop over queries — record one new
+    query, as a concurrent session's statement would."""
+    original = getattr(RuntimeStats, attribute)
+    entry = store.queries()[0]
+    plan = entry.plans[entry.active_fingerprint].plan
+
+    def late_record():
+        if not late:
+            late.append(store.record(LATE_SQL, plan, 0, 0.0, {}))
+
+    if isinstance(original, property):
+        def reading(stats):
+            late_record()
+            return original.fget(stats)
+
+        monkeypatch.setattr(RuntimeStats, attribute, property(reading))
+    else:
+        def calling(stats, *args):
+            late_record()
+            return original(stats, *args)
+
+        monkeypatch.setattr(RuntimeStats, attribute, calling)
+
+
 # ----------------------------------------------------------------------
 # regression detection + plan forcing (the tentpole end-to-end)
 # ----------------------------------------------------------------------
@@ -219,6 +249,31 @@ class TestRegressionDetection:
         local.execute(PUSHDOWN_SQL)
         # one execution per plan: not enough evidence
         assert local.query_store.regressed_queries(min_executions=2) == []
+
+    def test_regressed_queries_iterates_a_snapshot(
+        self, orders_world, monkeypatch
+    ):
+        # another session records a new query while this one looks
+        # for regressions
+        local, __, __c = orders_world
+        seed_regression(local)
+        store = local.query_store
+        late = []
+        _record_late_on_first_call(
+            monkeypatch, "recent_mean_latency_ms", store, late
+        )
+        assert len(store.regressed_queries()) == 1
+        assert late and store.lookup(LATE_SQL) is not None
+
+    def test_as_dict_iterates_a_snapshot(self, orders_world, monkeypatch):
+        local, __, __c = orders_world
+        seed_regression(local)
+        store = local.query_store
+        late = []
+        _record_late_on_first_call(monkeypatch, "as_dict", store, late)
+        dumped = store.as_dict()["query_store"]
+        assert [q["query_text"] for q in dumped["queries"]] == [PUSHDOWN_SQL]
+        assert late and store.lookup(LATE_SQL) is not None
 
     def test_force_plan_restores_pushdown(self, orders_world):
         local, __, __c = orders_world

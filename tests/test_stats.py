@@ -13,7 +13,7 @@ from repro.stats import (
     estimate_comparison_selectivity,
     estimate_join_selectivity,
 )
-from repro.types import Column, INT, Interval, IntervalSet, Schema, varchar
+from repro.types import NEG_INF, Column, INT, Interval, IntervalSet, Schema, varchar
 from repro.types.intervals import SortKey, _cmp
 
 
@@ -72,6 +72,49 @@ class TestHistogramEstimation:
         heavy = h.estimate_equal(0)
         light = h.estimate_equal(50)
         assert heavy > 50 * max(1.0, light)
+
+    def test_first_bucket_holds_only_the_minimum(self):
+        # rows below the first bucket's bound used to sit in a bucket
+        # with no interior to interpolate over: k < 50 estimated 0
+        h = Histogram.build(list(range(2000)))
+        first = h.buckets[0]
+        assert (first.upper_bound, first.range_rows) == (0, 0)
+        below_50 = h.estimate_interval(Interval(NEG_INF, 50, False, False))
+        assert below_50 == pytest.approx(50, rel=0.1)
+        first_ten = h.estimate_interval(Interval(0, 9, True, True))
+        assert first_ten == pytest.approx(10, rel=0.1)
+
+    def test_point_interval_is_an_equality(self):
+        h = Histogram.build(list(range(2000)))
+        assert h.estimate_interval(Interval.point(42)) == pytest.approx(1.0)
+        assert h.estimate_interval_set(
+            IntervalSet.points([0, 42, 100])
+        ) == pytest.approx(3.0)
+
+    def test_equalities_on_a_linked_isam_key(self):
+        from repro import Engine, NetworkChannel
+        from repro.core import physical as P
+        from repro.providers import IsamDataSource
+        from repro.storage.catalog import Database
+
+        db = Database("acc")
+        table = db.create_table(
+            "Customers",
+            Schema([Column("id", INT, nullable=False), Column("city", varchar(30))]),
+        )
+        for i in range(2000):
+            table.insert((i, f"city{i % 20}"))
+        table.create_index("ix_id", ["id"], unique=True)
+        local = Engine("local")
+        local.add_linked_server(
+            "acc", IsamDataSource(db, channel=NetworkChannel("acc-ch"))
+        )
+        for predicate, expected in (("= 42", 1.0), ("IN (1, 50, 99)", 3.0)):
+            plan = local.plan(
+                f"SELECT c.city FROM acc.acc.dbo.Customers c WHERE c.id {predicate}"
+            ).plan
+            (node,) = [n for n in plan.walk() if isinstance(n, P.RemoteRange)]
+            assert node.est_rows == pytest.approx(expected), predicate
 
 
 class TestColumnStatistics:
@@ -149,8 +192,9 @@ class TestHistogramProperties:
 # reference
 # ----------------------------------------------------------------------
 def reference_histogram(values, max_buckets=32):
-    """(buckets, null_rows) exactly as ``Histogram.build`` computed them
-    when it sorted on ``SortKey`` and found runs with ``_cmp``."""
+    """(buckets, null_rows) as ``Histogram.build`` computes them, but
+    sorting on ``SortKey`` and finding runs with ``_cmp`` as it once
+    did; the bucket rule (the first run closes alone) is the build's."""
     non_null = []
     null_rows = 0
     for v in values:
@@ -172,8 +216,9 @@ def reference_histogram(values, max_buckets=32):
     range_rows = 0
     distinct_range = 0
     for index, (value, count) in enumerate(runs):
-        # the last run by position: NaN runs can compare equal as tuples
-        if range_rows + count >= target_depth or index == len(runs) - 1:
+        # the first and last runs by position (NaN runs can compare
+        # equal as tuples); the first closes alone: RANGE_ROWS 0
+        if range_rows + count >= target_depth or index in (0, len(runs) - 1):
             buckets.append((value, count, range_rows, distinct_range))
             range_rows = 0
             distinct_range = 0
