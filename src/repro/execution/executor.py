@@ -29,6 +29,7 @@ from repro.execution.scans import (
     run_remote_scan,
     run_table_scan,
 )
+from repro.network.ledger import current_ledger
 from repro.observability.profile import OperatorProfile
 from repro.types.intervals import sql_sorted
 
@@ -130,9 +131,19 @@ def execute_plan(
     plan: P.PhysicalOp,
     ctx: Optional[ExecutionContext] = None,
 ) -> list[Row]:
-    """Run a plan to completion."""
+    """Run a plan to completion.
+
+    Once the rows are in, the operator tree is gone: every stream a
+    TOP or a semi-join abandoned has been closed and charged, and
+    every exchange worker joined.  A query budget that only such a
+    close-time charge spent (a close cannot raise) fails the statement
+    here, before any caller writes what the plan returned.
+    """
     ctx = ctx or ExecutionContext()
     rows = list(open_plan(plan, ctx))
+    ledger = current_ledger()
+    if ledger is not None and ledger.budget is not None:
+        ledger.budget.check()
     ctx.record_rows_produced(len(rows))
     return rows
 
